@@ -164,7 +164,7 @@ func BenchmarkBatching(b *testing.B) {
 }
 
 // BenchmarkRecovery regenerates T-RECOVERY points: end-to-end live
-// failure recovery (heartbeat detection + grandparent adoption) on a
+// failure recovery (telemetry-silence detection + grandparent adoption) on a
 // running overlay, per tree shape and link fabric.
 func BenchmarkRecovery(b *testing.B) {
 	for _, shape := range []string{"kary:2^3", "kary:8^2"} {

@@ -1,7 +1,7 @@
 // Elastic overlay: load-driven tree mutation in action (DESIGN.md §13).
 // A 4-router overlay takes a badly skewed workload — every leaf under
 // router 1 streams hot while the rest trickle — with the elastic
-// controller watching the per-process load reports. The controller sees
+// controller watching the per-process telemetry samples. The controller sees
 // router 1's heat score pull away from the mean, splits it, and reparents
 // half its children onto the new sibling; the program prints the tree
 // shape before and after and asserts the hot router's children really
@@ -45,9 +45,9 @@ func main() {
 	}
 
 	nw, err := core.NewNetwork(core.Config{
-		Topology:         tree,
-		Recoverable:      true, // splits migrate children over the reparent protocol
-		LoadReportPeriod: 20 * time.Millisecond,
+		Topology:        tree,
+		Recoverable:     true, // splits migrate children over the reparent protocol
+		TelemetryPeriod: 20 * time.Millisecond,
 		OnBackEnd: func(be *core.BackEnd) error {
 			p, err := be.Recv()
 			if err != nil {

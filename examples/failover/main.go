@@ -1,7 +1,7 @@
 // Failover: a live demonstration of the zero-cost reliability model on a
 // running overlay — on BOTH link fabrics. A 2-deep tree serves a
 // continuous sum reduction while a mid-level communication process is
-// crashed; the heartbeat detector declares the failure, the grandparent
+// crashed; the telemetry detector declares the failure, the grandparent
 // adopts the orphaned subtrees over brand-new links (in-process pairs on
 // the chan fabric, listen+redial TCP connections on the TCP fabric), and
 // the same stream keeps producing the full-membership answer — no
@@ -34,7 +34,7 @@ func demo(label string, tr core.TransportKind) {
 		Topology:        tree,
 		Transport:       tr,
 		Recoverable:     true,
-		HeartbeatPeriod: 20 * time.Millisecond,
+		TelemetryPeriod: 20 * time.Millisecond,
 		OnBackEnd: func(be *core.BackEnd) error {
 			for {
 				p, err := be.Recv()
@@ -108,7 +108,7 @@ func demo(label string, tr core.TransportKind) {
 	round("round 4")
 
 	m := nw.Metrics()
-	fmt.Printf("metrics: failed=%d recovered=%d orphans=%d rewired-links=%d heartbeats=%d rewire=%v\n\n",
+	fmt.Printf("metrics: failed=%d recovered=%d orphans=%d rewired-links=%d telemetry=%d rewire=%v\n\n",
 		m.NodesFailed.Load(), m.RecoveriesCompleted.Load(), m.OrphansAdopted.Load(),
-		m.RewiredLinks.Load(), m.HeartbeatsSeen.Load(), time.Duration(m.RecoveryNanos.Load()))
+		m.RewiredLinks.Load(), m.TelemetrySeen.Load(), time.Duration(m.RecoveryNanos.Load()))
 }

@@ -142,9 +142,7 @@ func (nw *Network) AttachBackEnd(parent Rank) (Rank, error) {
 		defer nw.wg.Done()
 		be.run()
 	}()
-	if nw.cfg.HeartbeatPeriod > 0 {
-		go nw.heartbeatLoop(newRank, be.parentLink, be.killCh)
-	}
+	nw.startTelemetry(be, be.killCh)
 	return newRank, nil
 }
 

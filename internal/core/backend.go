@@ -95,6 +95,13 @@ func (be *BackEnd) parentLink() transport.Link {
 	return be.ep.Parent
 }
 
+// loadSample reads the back-end's telemetry load fields: it routes
+// nothing, so only its own egress depth and stalls (zero when the queue
+// is off).
+func (be *BackEnd) loadSample() LoadSample {
+	return LoadSample{Origin: be.rank, Queued: int64(be.eg.pending()), Stalls: be.eg.stalls()}
+}
+
 func (be *BackEnd) setParent(l transport.Link) {
 	be.parentMu.Lock()
 	be.ep.Parent = l

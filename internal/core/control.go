@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/packet"
+	"repro/internal/transport"
 )
 
 // Control operation codes carried in TagControl packets. The op is always
@@ -12,11 +14,10 @@ const (
 	opNewStream    int64 = 1 // establish stream state at every node on the path
 	opCloseStream  int64 = 2 // tear down stream state, draining synchronizers
 	opShutdown     int64 = 3 // stop the subtree
-	opHeartbeat    int64 = 4 // liveness beacon, flowing upstream to the front-end
+	opTelemetry    int64 = 4 // periodic liveness + load sample, flowing upstream to the front-end
 	opOpenSession  int64 = 5 // announce a tenant session's stream-id namespace
 	opCloseSession int64 = 6 // tear down every stream of a namespace, non-quiescing
 	opCheckpoint   int64 = 7 // filter-state checkpoint, cached at potential adopters
-	opLoadReport   int64 = 8 // per-node pressure sample, flowing upstream to the front-end
 )
 
 // ckptHops is how many levels upstream a checkpoint travels: a node's
@@ -33,8 +34,6 @@ const (
 	ctrlCloseStreamFormat = "%d %d"
 	// op
 	ctrlShutdownFormat = "%d"
-	// op, origin rank
-	ctrlHeartbeatFormat = "%d %d"
 	// op, namespace, tenant name, egress priority, credit budget
 	ctrlOpenSessionFormat = "%d %d %s %d %d"
 	// op, namespace
@@ -43,7 +42,7 @@ const (
 	ctrlCheckpointFormat = "%d %d %d %d %ac"
 	// op, origin rank, cumulative upstream packets routed, parent-egress
 	// queue depth, cumulative credit stalls
-	ctrlLoadReportFormat = "%d %d %d %d %d"
+	ctrlTelemetryFormat = "%d %d %d %d %d"
 )
 
 // newStreamPacket encodes an opNewStream control message. prio is the
@@ -62,49 +61,6 @@ func newStreamPacket(id uint32, tform, sync, downTform string, prio int, members
 func closeStreamPacket(id uint32) *packet.Packet {
 	return packet.MustNew(packet.TagControl, 0, 0, ctrlCloseStreamFormat,
 		opCloseStream, int64(id))
-}
-
-// heartbeatPacket encodes an opHeartbeat control message from origin.
-func heartbeatPacket(origin Rank) *packet.Packet {
-	return packet.MustNew(packet.TagControl, 0, origin, ctrlHeartbeatFormat,
-		opHeartbeat, int64(origin))
-}
-
-// parseHeartbeat decodes an opHeartbeat control message.
-func parseHeartbeat(p *packet.Packet) (Rank, error) {
-	origin, err := p.Int(1)
-	if err != nil {
-		return 0, err
-	}
-	return Rank(origin), nil
-}
-
-// loadReportPacket encodes an opLoadReport control message: origin's
-// cumulative count of upstream data packets routed, its parent-egress
-// queue depth at sample time, and its cumulative credit-stall count. The
-// counters are cumulative so the front-end can rate-normalize by delta
-// regardless of how many reports a congested path drops.
-func loadReportPacket(origin Rank, upPkts, queued, stalls int64) *packet.Packet {
-	return packet.MustNew(packet.TagControl, 0, origin, ctrlLoadReportFormat,
-		opLoadReport, int64(origin), upPkts, queued, stalls)
-}
-
-// parseLoadReport decodes an opLoadReport control message.
-func parseLoadReport(p *packet.Packet) (origin Rank, upPkts, queued, stalls int64, err error) {
-	rawOrigin, err := p.Int(1)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if upPkts, err = p.Int(2); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if queued, err = p.Int(3); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if stalls, err = p.Int(4); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return Rank(rawOrigin), upPkts, queued, stalls, nil
 }
 
 // ctrlOp extracts the operation code from a control packet.
@@ -233,3 +189,106 @@ func parseCheckpoint(p *packet.Packet) (origin Rank, id uint32, hops int, blob [
 	}
 	return Rank(rawOrigin), uint32(rawID), int(rawHops), blob, nil
 }
+
+// LoadSample is one process's most recent telemetry sample as observed at
+// the front-end. At is the liveness signal the failure detector reads; the
+// load fields feed the elastic controller. UpPackets and Stalls are
+// cumulative counters — readers rate-normalize by delta between samples,
+// so samples lost on a congested path skew nothing.
+type LoadSample struct {
+	// Origin is the reporting process.
+	Origin Rank
+	// UpPackets is the cumulative count of upstream data packets the
+	// process has routed (zero for back-ends).
+	UpPackets int64
+	// Queued is the parent-egress queue depth at sample time.
+	Queued int64
+	// Stalls is the cumulative count of credit stalls on the parent
+	// egress (zero when flow control is off).
+	Stalls int64
+	// At is when the sample reached the front-end.
+	At time.Time
+}
+
+// telemetryPacket encodes an opTelemetry control message carrying s's
+// origin and load fields (At is stamped on arrival).
+func telemetryPacket(s LoadSample) *packet.Packet {
+	return packet.MustNew(packet.TagControl, 0, s.Origin, ctrlTelemetryFormat,
+		opTelemetry, int64(s.Origin), s.UpPackets, s.Queued, s.Stalls)
+}
+
+// parseTelemetry decodes an opTelemetry control message, rejecting any
+// other op.
+func parseTelemetry(p *packet.Packet) (LoadSample, error) {
+	var v [5]int64
+	for i := range v {
+		x, err := p.Int(i)
+		if err != nil {
+			return LoadSample{}, err
+		}
+		v[i] = x
+	}
+	if v[0] != opTelemetry {
+		return LoadSample{}, fmt.Errorf("core: control op %d is not telemetry", v[0])
+	}
+	return LoadSample{Origin: Rank(v[1]), UpPackets: v[2], Queued: v[3], Stalls: v[4]}, nil
+}
+
+// telemetrySource is a non-root process as its telemetry loop sees it.
+type telemetrySource interface {
+	parentLink() transport.Link
+	loadSample() LoadSample
+}
+
+// startTelemetry launches src's periodic telemetry loop when
+// Config.TelemetryPeriod is positive: one ticker per process, sending on
+// the current parent link until teardown or until stop closes (the
+// process is killed). Samples are lossy-safe and order-free; send failures
+// (a dead parent, pre-adoption) are retried on the next tick.
+func (nw *Network) startTelemetry(src telemetrySource, stop <-chan struct{}) {
+	if nw.cfg.TelemetryPeriod <= 0 {
+		return
+	}
+	go func() {
+		t := time.NewTicker(nw.cfg.TelemetryPeriod)
+		defer t.Stop()
+		for {
+			select {
+			case <-nw.dying:
+				return
+			case <-stop:
+				return
+			case <-t.C:
+				if l := src.parentLink(); l != nil && l.Send(telemetryPacket(src.loadSample())) == nil {
+					nw.metrics.TelemetrySent.Add(1)
+				}
+			}
+		}
+	}()
+}
+
+// noteTelemetry records a sample observed at the front-end.
+func (nw *Network) noteTelemetry(s LoadSample) {
+	s.At = time.Now()
+	nw.metrics.TelemetrySeen.Add(1)
+	nw.telMu.Lock()
+	nw.telemetry[s.Origin] = s
+	nw.telMu.Unlock()
+}
+
+// Telemetry snapshots the latest sample per non-root rank. Ranks never
+// heard from are absent; a dead rank's last sample lingers until
+// overwritten (consumers check liveness via At or LiveInternal).
+func (nw *Network) Telemetry() map[Rank]LoadSample {
+	nw.telMu.Lock()
+	defer nw.telMu.Unlock()
+	out := make(map[Rank]LoadSample, len(nw.telemetry))
+	for r, s := range nw.telemetry {
+		out[r] = s
+	}
+	return out
+}
+
+// TelemetryPeriod returns the configured telemetry period (zero when
+// telemetry is off).
+func (nw *Network) TelemetryPeriod() time.Duration { return nw.cfg.TelemetryPeriod }

@@ -111,17 +111,15 @@ type Config struct {
 	// abandoning ship. Without it a parent crash tears the subtree down,
 	// the pre-recovery behavior.
 	Recoverable bool
-	// HeartbeatPeriod, when positive, makes every non-root process emit
-	// periodic liveness beacons that relay to the front-end, feeding the
-	// failure detector in internal/recovery.
-	HeartbeatPeriod time.Duration
-	// LoadReportPeriod, when positive, makes every internal communication
-	// process emit periodic opLoadReport control packets — cumulative
-	// upstream packet counts, parent-egress queue depth, credit stalls —
-	// that relay order-free to the front-end, where LoadReports exposes
-	// them. internal/elastic rate-normalizes the samples into per-subtree
-	// heat scores and drives live tree mutation (SplitNode / MergeNode).
-	LoadReportPeriod time.Duration
+	// TelemetryPeriod, when positive, makes every non-root process emit a
+	// periodic opTelemetry control packet — its rank plus cumulative
+	// upstream packet count, parent-egress queue depth and credit stalls —
+	// that relays order-free to the front-end, where Telemetry exposes the
+	// latest sample per rank. The sample's arrival time is the liveness
+	// signal internal/recovery's failure detector reads; internal/elastic
+	// rate-normalizes the load fields into per-subtree heat scores and
+	// drives live tree mutation (SplitNode / MergeNode). Zero disables it.
+	TelemetryPeriod time.Duration
 	// ExactlyOnce upgrades recovery from lossy rewiring to exactly-once
 	// upstream delivery (DESIGN.md §10): senders stamp per-origin sequence
 	// numbers and keep flushed-but-unacknowledged packets in a replay ring
@@ -166,8 +164,8 @@ type Metrics struct {
 	SessionsRejected atomic.Int64 // sessions refused by admission control
 
 	// Failure detection and recovery observability.
-	HeartbeatsSent       atomic.Int64 // liveness beacons emitted
-	HeartbeatsSeen       atomic.Int64 // beacons observed at the front-end
+	TelemetrySent        atomic.Int64 // opTelemetry samples emitted by non-root processes
+	TelemetrySeen        atomic.Int64 // samples observed at the front-end
 	NodesFailed          atomic.Int64 // processes crashed (Kill injections)
 	RecoveriesCompleted  atomic.Int64 // successful live adoptions
 	OrphansAdopted       atomic.Int64 // subtrees re-parented by recovery
@@ -182,8 +180,6 @@ type Metrics struct {
 	CheckpointsTaken    atomic.Int64 // per-node filter-state checkpoint rounds
 
 	// Elastic-topology observability.
-	LoadReportsSent     atomic.Int64 // opLoadReport samples emitted by internal nodes
-	LoadReportsSeen     atomic.Int64 // samples observed at the front-end
 	TopologyMutations   atomic.Int64 // live tree mutations applied (splits + merges)
 	NodesSplit          atomic.Int64 // saturated nodes split into a sibling pair
 	NodesMerged         atomic.Int64 // cold nodes merged away into their parent
@@ -205,7 +201,7 @@ type Network struct {
 	nodes []*node
 	wg    sync.WaitGroup
 
-	// dying closes when Shutdown begins; orphaned processes and heartbeat
+	// dying closes when Shutdown begins; orphaned processes and telemetry
 	// loops, which no shutdown announcement can reach, watch it.
 	dying chan struct{}
 	// recMu serializes live recoveries (Adopt).
@@ -226,13 +222,10 @@ type Network struct {
 	shutdown    bool
 	beErrs      []error
 
-	hbMu   sync.Mutex
-	lastHB map[Rank]time.Time
-
-	// loadMu guards the front-end's record of the latest opLoadReport
-	// sample per internal rank (LoadReports).
-	loadMu  sync.Mutex
-	loadRep map[Rank]LoadSample
+	// telMu guards the front-end's table of the latest opTelemetry
+	// sample per rank (Telemetry).
+	telMu     sync.Mutex
+	telemetry map[Rank]LoadSample
 
 	// ckptMu guards the front-end's cache of descendants' filter-state
 	// checkpoints (rank -> stream -> blob), folded into adoption
@@ -318,17 +311,17 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 
 	nw := &Network{
-		cfg:      cfg,
-		rewirer:  rewirer,
-		tree:     cfg.Topology,
-		registry: reg,
-		streams:  map[uint32]*Stream{},
-		nextSeq:  map[uint32]uint32{},
-		dying:    make(chan struct{}),
-		view:     newLiveView(cfg.Topology),
-		byRank:   map[Rank]*node{},
-		bes:      map[Rank]*BackEnd{},
-		lastHB:   map[Rank]time.Time{},
+		cfg:       cfg,
+		rewirer:   rewirer,
+		tree:      cfg.Topology,
+		registry:  reg,
+		streams:   map[uint32]*Stream{},
+		nextSeq:   map[uint32]uint32{},
+		dying:     make(chan struct{}),
+		view:      newLiveView(cfg.Topology),
+		byRank:    map[Rank]*node{},
+		bes:       map[Rank]*BackEnd{},
+		telemetry: map[Rank]LoadSample{},
 	}
 	nw.fe = &feState{
 		nw:       nw,
@@ -364,21 +357,14 @@ func NewNetwork(cfg Config) (*Network, error) {
 				defer nw.wg.Done()
 				be.run()
 			}()
-			if cfg.HeartbeatPeriod > 0 {
-				go nw.heartbeatLoop(Rank(r), be.parentLink, be.killCh)
-			}
+			nw.startTelemetry(be, be.killCh)
 		} else {
 			nw.byRank[Rank(r)] = n
 			go func() {
 				defer nw.wg.Done()
 				n.run()
 			}()
-			if cfg.HeartbeatPeriod > 0 {
-				go nw.heartbeatLoop(Rank(r), n.parentLink, n.killCh)
-			}
-			if cfg.LoadReportPeriod > 0 {
-				go nw.loadReportLoop(n)
-			}
+			nw.startTelemetry(n, n.killCh)
 		}
 	}
 
@@ -450,8 +436,8 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"sessions_opened":        m.SessionsOpened.Load(),
 		"sessions_closed":        m.SessionsClosed.Load(),
 		"sessions_rejected":      m.SessionsRejected.Load(),
-		"heartbeats_sent":        m.HeartbeatsSent.Load(),
-		"heartbeats_seen":        m.HeartbeatsSeen.Load(),
+		"telemetry_sent":         m.TelemetrySent.Load(),
+		"telemetry_seen":         m.TelemetrySeen.Load(),
 		"nodes_failed":           m.NodesFailed.Load(),
 		"recoveries_completed":   m.RecoveriesCompleted.Load(),
 		"orphans_adopted":        m.OrphansAdopted.Load(),
@@ -462,8 +448,6 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"packets_replayed":       m.PacketsReplayed.Load(),
 		"dups_dropped":           m.DupsDropped.Load(),
 		"checkpoints_taken":      m.CheckpointsTaken.Load(),
-		"load_reports_sent":      m.LoadReportsSent.Load(),
-		"load_reports_seen":      m.LoadReportsSeen.Load(),
 		"topology_mutations":     m.TopologyMutations.Load(),
 		"nodes_split":            m.NodesSplit.Load(),
 		"nodes_merged":           m.NodesMerged.Load(),
@@ -484,7 +468,7 @@ func (nw *Network) Shutdown() error {
 	}
 	nw.shutdown = true
 	nw.mu.Unlock()
-	// Wake orphaned processes and heartbeat loops, which no downstream
+	// Wake orphaned processes and telemetry loops, which no downstream
 	// announcement can reach.
 	close(nw.dying)
 

@@ -206,7 +206,7 @@ type egressQueue struct {
 
 	// stallCt counts this queue's credit stalls cumulatively (the global
 	// CreditStalls counter aggregates across queues); it feeds the per-node
-	// load reports, so it is atomic — the sampler reads it off-goroutine.
+	// telemetry samples, so it is atomic — the sampler reads it off-goroutine.
 	stallCt atomic.Int64
 }
 
@@ -546,7 +546,7 @@ func (q *egressQueue) sendDirect(p *packet.Packet) error {
 // sendNow enqueues p and flushes immediately. Control packets use it:
 // order-sensitive control (stream setup/teardown, shutdown) keeps its FIFO
 // position behind already queued data but never waits out a batching
-// window; order-free control (heartbeats) additionally jumps to the
+// window; order-free control (telemetry) additionally jumps to the
 // scheduler's control lane when flow control is on, so it can never be
 // delayed behind credit-stalled data.
 func (q *egressQueue) sendNow(p *packet.Packet) error {
@@ -784,7 +784,7 @@ func (q *egressQueue) noteStallLocked() {
 }
 
 // stalls reports the queue's cumulative credit-stall count; safe for any
-// goroutine (load-report sampling).
+// goroutine (telemetry sampling).
 func (q *egressQueue) stalls() int64 {
 	if q == nil {
 		return 0

@@ -212,7 +212,7 @@ func TestStreamFIFOOrder(t *testing.T) {
 }
 
 // recoverableEcho builds a Recoverable chan-fabric network with
-// heartbeats whose back-ends answer every multicast with their rank as a
+// telemetry on, whose back-ends answer every multicast with their rank as a
 // float.
 func recoverableEcho(t *testing.T, spec string, hb time.Duration) *Network {
 	t.Helper()
@@ -227,7 +227,7 @@ func recoverableEchoOn(t *testing.T, spec string, hb time.Duration, kind Transpo
 		Topology:        tree,
 		Transport:       kind,
 		Recoverable:     true,
-		HeartbeatPeriod: hb,
+		TelemetryPeriod: hb,
 		OnBackEnd: func(be *BackEnd) error {
 			for {
 				p, err := be.Recv()
@@ -430,24 +430,24 @@ func TestKillAndAdoptValidation(t *testing.T) {
 	}
 }
 
-// TestHeartbeatsReachFrontEnd: every non-root process's beacon relays to
-// the front-end within a few periods.
+// TestHeartbeatsReachFrontEnd: every non-root process's telemetry sample
+// relays to the front-end within a few periods.
 func TestHeartbeatsReachFrontEnd(t *testing.T) {
 	nw := recoverableEcho(t, "kary:2^2", 5*time.Millisecond)
 	defer nw.Shutdown()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		hb := nw.Heartbeats()
+		hb := nw.Telemetry()
 		if len(hb) == 6 { // ranks 1..6
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d ranks heartbeating: %v", len(hb), hb)
+			t.Fatalf("only %d ranks heard from: %v", len(hb), hb)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if nw.Metrics().HeartbeatsSent.Load() == 0 || nw.Metrics().HeartbeatsSeen.Load() == 0 {
-		t.Error("heartbeat metrics not counted")
+	if nw.Metrics().TelemetrySent.Load() == 0 || nw.Metrics().TelemetrySeen.Load() == 0 {
+		t.Error("telemetry metrics not counted")
 	}
 }
 

@@ -30,14 +30,14 @@ func TestEgressPriorityScheduling(t *testing.T) {
 		return packet.MustNew(tagQuery, stream, 1, "%d", v)
 	}
 	// Interleave enqueues: low-prio stream 1, equal-prio streams 2 and 3,
-	// high-prio stream 4, and one heartbeat (order-free control).
+	// high-prio stream 4, and one telemetry sample (order-free control).
 	for i := 0; i < 3; i++ {
 		_ = q.sendCtx(mk(1, int64(10+i)), -1, true)
 		_ = q.sendCtx(mk(2, int64(20+i)), 0, true)
 		_ = q.sendCtx(mk(3, int64(30+i)), 0, true)
 		_ = q.sendCtx(mk(4, int64(40+i)), 5, true)
 	}
-	hb := heartbeatPacket(7)
+	hb := telemetryPacket(LoadSample{Origin: 7})
 	_ = q.sendNow(hb)
 	q.flushMu.Unlock()
 	if err := q.drain(); err != nil {
@@ -45,9 +45,9 @@ func TestEgressPriorityScheduling(t *testing.T) {
 	}
 
 	got := drainLink(t, b, 13)
-	// Heartbeat first: the control lane outranks all data.
+	// Telemetry first: the control lane outranks all data.
 	if got[0].Tag != packet.TagControl {
-		t.Fatalf("first flushed packet is stream %d, want the heartbeat", got[0].StreamID)
+		t.Fatalf("first flushed packet is stream %d, want the telemetry sample", got[0].StreamID)
 	}
 	rest := got[1:]
 	// High priority next, in FIFO order.
@@ -411,7 +411,7 @@ func TestSlowConsumerBoundedMemory(t *testing.T) {
 // TestControlFlowsThroughSaturatedDataPlane is the regression test for the
 // head-of-line bug this PR fixes: with flow control on and one subtree's
 // consumers fully stalled (windows exhausted, every queue toward them
-// credit-stalled, producers blocked), heartbeats from EVERY process must
+// credit-stalled, producers blocked), telemetry from EVERY process must
 // keep reaching the front-end, and a recovery command (kill + adopt in a
 // different subtree) must complete. Runs on both fabrics.
 func TestControlFlowsThroughSaturatedDataPlane(t *testing.T) {
@@ -437,7 +437,7 @@ func TestControlFlowsThroughSaturatedDataPlane(t *testing.T) {
 				Topology:        tree,
 				Transport:       kind,
 				Recoverable:     true,
-				HeartbeatPeriod: hb,
+				TelemetryPeriod: hb,
 				Batch:           BatchPolicy{MaxBatch: 4, MaxDelay: time.Millisecond},
 				LinkWindow:      4,
 				OnBackEnd: func(be *BackEnd) error {
@@ -480,11 +480,11 @@ func TestControlFlowsThroughSaturatedDataPlane(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 
-			// 1. Heartbeats: every live rank must be heard from again while
+			// 1. Telemetry: every live rank must be heard from again while
 			// the data plane stays saturated.
-			before := nw.Heartbeats()
+			before := nw.Telemetry()
 			time.Sleep(20 * hb)
-			after := nw.Heartbeats()
+			after := nw.Telemetry()
 			for r := 1; r < tree.Len(); r++ {
 				b, seenB := before[Rank(r)]
 				a, seenA := after[Rank(r)]
@@ -492,7 +492,7 @@ func TestControlFlowsThroughSaturatedDataPlane(t *testing.T) {
 					t.Errorf("rank %d never heard from at all", r)
 					continue
 				}
-				if seenB && !a.After(b) {
+				if seenB && !a.At.After(b.At) {
 					t.Errorf("rank %d beacon did not advance under saturation", r)
 				}
 			}
@@ -517,6 +517,86 @@ func TestControlFlowsThroughSaturatedDataPlane(t *testing.T) {
 				t.Fatal("adoption wedged behind saturated data plane")
 			}
 		})
+	}
+}
+
+// TestTelemetryRelaysThroughSaturatedUplinks: with flow control on and the
+// front-end application no longer calling Recv, every uplink in a depth-3
+// tree credit-stalls. The telemetry samples of the deepest routers are
+// relayed by their parents' egress queues, and those relays must take the
+// scheduler's order-free control lane, not wait as a barrier behind the
+// stalled data — so every internal rank's sample keeps advancing at the
+// front-end, which is exactly when the elastic controller needs it.
+func TestTelemetryRelaysThroughSaturatedUplinks(t *testing.T) {
+	const period = 10 * time.Millisecond
+	tree := mustTree(t, "kary:2^3")
+	stop := make(chan struct{})
+	nw, err := NewNetwork(Config{
+		Topology:        tree,
+		TelemetryPeriod: period,
+		Batch:           BatchPolicy{MaxBatch: 4, MaxDelay: time.Millisecond},
+		LinkWindow:      4,
+		OnBackEnd: func(be *BackEnd) error {
+			p, err := be.Recv()
+			if err != nil {
+				return nil
+			}
+			for i := int64(0); ; i++ {
+				select {
+				case <-stop:
+					return nil
+				default:
+				}
+				if err := be.Send(p.StreamID, tagQuery, "%d", i); err != nil {
+					return nil
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := nw.NewStream(StreamSpec{Synchronization: "nullsync", RecvBuffer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		close(stop)
+		go func() { // unwedge the front-end pipeline so Shutdown drains
+			for {
+				if _, err := st.Recv(); err != nil {
+					return
+				}
+			}
+		}()
+		nw.Shutdown()
+	}()
+	// One multicast tells every back-end the stream; from then on the
+	// application never calls Recv.
+	if err := st.Multicast(tagQuery, ""); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for nw.Metrics().CreditStalls.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("uplinks never credit-stalled; saturation not reached")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * period) // let the stall reach every level
+
+	before := nw.Telemetry()
+	time.Sleep(20 * period)
+	after := nw.Telemetry()
+	for _, r := range tree.InternalNodes() {
+		b, seenB := before[r]
+		a, seenA := after[r]
+		switch {
+		case !seenA:
+			t.Errorf("internal rank %d (level %d) never heard from", r, tree.Node(r).Level)
+		case seenB && !a.At.After(b.At):
+			t.Errorf("internal rank %d (level %d) sample did not advance under saturated uplinks", r, tree.Node(r).Level)
+		}
 	}
 }
 

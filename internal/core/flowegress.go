@@ -11,7 +11,7 @@ import (
 // per-stream FIFO, and order-sensitive control as barriers — while freeing
 // everything else for scheduling:
 //
-//	control lane  order-free control (heartbeat relays) flushes ahead of
+//	control lane  order-free control (telemetry relays) flushes ahead of
 //	              everything, so liveness traffic is never pinned behind
 //	              credit-stalled data;
 //	priority      among data streams sharing the link, higher
@@ -130,7 +130,7 @@ func (s *egressSched) add(p *packet.Packet, prio int, ctrl bool) {
 		s.data++
 	}
 	if ctrl && p.Tag == packet.TagControl {
-		if op, err := ctrlOp(p); err == nil && op == opHeartbeat {
+		if orderFreeControl(p) {
 			s.ctrl = append(s.ctrl, p)
 			return
 		}
@@ -251,7 +251,7 @@ func (s *egressSched) take(fl *transport.FlowLink, bypass bool, dst []*packet.Pa
 	ps = dst
 	needCredit := func() bool { return fl != nil && !bypass }
 	// Order-free control first — even ahead of the retained remainder: a
-	// credit-stalled retained head must never pin a heartbeat relay.
+	// credit-stalled retained head must never pin a telemetry relay.
 	for i, p := range s.ctrl {
 		ps = append(ps, p)
 		total += p.EncodedSize() + 4

@@ -37,7 +37,7 @@ type feState struct {
 	// inbox is the router's ingress channel (set by run); its backlog is
 	// the pressure signal that decides inline execution vs shard dispatch.
 	inbox chan inMsg
-	// ctrlLane is the order-free control ingress (heartbeat beacons): it
+	// ctrlLane is the order-free control ingress (telemetry samples): it
 	// bypasses the data inbox so detection keeps working however saturated
 	// the data plane is.
 	ctrlLane chan *packet.Packet
@@ -208,7 +208,7 @@ func (fe *feState) sendToStream(ss *streamState, p *packet.Packet) error {
 }
 
 // run is the front-end router loop: it keeps per-link FIFO ingress order,
-// notes heartbeats, applies adoptions and attachments, and dispatches data
+// notes telemetry, applies adoptions and attachments, and dispatches data
 // runs to the stream's pipeline shard, where the root-level synchronizer
 // and transformation execute and results are handed to Stream.Recv.
 func (fe *feState) run() {
@@ -311,20 +311,12 @@ func (fe *feState) handleAttach(a attachMsg, inbox chan inMsg) int {
 	return 1
 }
 
-// handleOrderFree processes one control-lane packet at the root: beacons
-// feed the failure detector, load reports feed the elastic controller.
+// handleOrderFree processes one control-lane packet at the root: the
+// telemetry sample lands in the one table both the failure detector and
+// the elastic controller read.
 func (fe *feState) handleOrderFree(p *packet.Packet) {
-	op, err := ctrlOp(p)
-	if err != nil {
-		return
-	}
-	switch op {
-	case opHeartbeat:
-		if origin, err := parseHeartbeat(p); err == nil {
-			fe.nw.noteHeartbeat(origin)
-		}
-	case opLoadReport:
-		fe.nw.noteLoadReport(p)
+	if s, err := parseTelemetry(p); err == nil {
+		fe.nw.noteTelemetry(s)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestSplitOrderFreeDoesNotMutateInput(t *testing.T) {
 		}
 		return p
 	}
-	hb := heartbeatPacket(3)
+	hb := telemetryPacket(LoadSample{Origin: 3})
 	ps := []*packet.Packet{mkData(10), hb, mkData(20), mkData(30)}
 	orig := append([]*packet.Packet(nil), ps...)
 
@@ -36,10 +36,10 @@ func TestSplitOrderFreeDoesNotMutateInput(t *testing.T) {
 	select {
 	case got := <-ctrl:
 		if got != hb {
-			t.Fatalf("ctrl lane got %v, want the heartbeat", got)
+			t.Fatalf("ctrl lane got %v, want the telemetry sample", got)
 		}
 	default:
-		t.Fatal("heartbeat was not diverted to the ctrl lane")
+		t.Fatal("telemetry sample was not diverted to the ctrl lane")
 	}
 	// The sender's view of the batch must be untouched...
 	for i, p := range ps {

@@ -5,15 +5,14 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/packet"
 	"repro/internal/topology"
 	"repro/internal/transport"
 )
 
 // This file implements live, load-driven topology mutation — the elastic
 // half of the overlay (DESIGN.md §13). Internal processes periodically
-// sample their own pressure (opLoadReport control packets, relayed
-// order-free to the front-end like heartbeats); internal/elastic turns the
+// sample their own pressure (the load fields of the periodic opTelemetry
+// packet, relayed order-free to the front-end); internal/elastic turns the
 // samples into per-subtree heat scores and drives two mutations over the
 // PR 3 rewiring protocol:
 //
@@ -31,83 +30,6 @@ import (
 // ErrNotMutable reports a SplitNode/MergeNode target the live engine
 // cannot mutate.
 var ErrNotMutable = errors.New("core: topology not mutable here")
-
-// LoadSample is one internal process's most recent load report as observed
-// at the front-end. UpPackets and Stalls are cumulative counters — readers
-// rate-normalize by delta between samples, so reports lost on a congested
-// path skew nothing.
-type LoadSample struct {
-	// Origin is the reporting process.
-	Origin Rank
-	// UpPackets is the cumulative count of upstream data packets the
-	// process has routed.
-	UpPackets int64
-	// Queued is the parent-egress queue depth at sample time.
-	Queued int64
-	// Stalls is the cumulative count of credit stalls on the parent
-	// egress (zero when flow control is off).
-	Stalls int64
-	// At is when the report reached the front-end.
-	At time.Time
-}
-
-// loadReportLoop periodically emits n's pressure sample on its current
-// parent link. Like heartbeats, reports are lossy-safe and order-free;
-// send failures (a dead parent, pre-adoption) are retried next tick.
-func (nw *Network) loadReportLoop(n *node) {
-	t := time.NewTicker(nw.cfg.LoadReportPeriod)
-	defer t.Stop()
-	for {
-		select {
-		case <-nw.dying:
-			return
-		case <-n.killCh:
-			return
-		case <-t.C:
-			q := n.outRef.Load()
-			var queued, stalls int64
-			if q != nil {
-				queued = int64(q.pending())
-				stalls = q.stalls()
-			}
-			if l := n.parentLink(); l != nil {
-				if err := l.Send(loadReportPacket(n.rank, n.upCount.Load(), queued, stalls)); err == nil {
-					nw.metrics.LoadReportsSent.Add(1)
-				}
-			}
-		}
-	}
-}
-
-// noteLoadReport records a load report observed at the front-end.
-func (nw *Network) noteLoadReport(p *packet.Packet) {
-	origin, up, queued, stalls, err := parseLoadReport(p)
-	if err != nil {
-		return
-	}
-	nw.metrics.LoadReportsSeen.Add(1)
-	nw.loadMu.Lock()
-	if nw.loadRep == nil {
-		nw.loadRep = map[Rank]LoadSample{}
-	}
-	nw.loadRep[origin] = LoadSample{
-		Origin: origin, UpPackets: up, Queued: queued, Stalls: stalls, At: time.Now(),
-	}
-	nw.loadMu.Unlock()
-}
-
-// LoadReports snapshots the latest load sample per internal rank. Ranks
-// that have never reported are absent; a dead rank's last sample lingers
-// until overwritten (consumers should check liveness via LiveInternal).
-func (nw *Network) LoadReports() map[Rank]LoadSample {
-	nw.loadMu.Lock()
-	defer nw.loadMu.Unlock()
-	out := make(map[Rank]LoadSample, len(nw.loadRep))
-	for r, s := range nw.loadRep {
-		out[r] = s
-	}
-	return out
-}
 
 // LiveParent returns r's current parent in the live shape (original
 // numbering, reflecting adoptions and mutations), or topology.NoRank when
@@ -269,12 +191,7 @@ func (nw *Network) SplitNode(hot Rank) (Rank, error) {
 		defer nw.wg.Done()
 		n.run()
 	}()
-	if nw.cfg.HeartbeatPeriod > 0 {
-		go nw.heartbeatLoop(q, n.parentLink, n.killCh)
-	}
-	if nw.cfg.LoadReportPeriod > 0 {
-		go nw.loadReportLoop(n)
-	}
+	nw.startTelemetry(n, n.killCh)
 
 	// Pre-announce every live stream on the sibling's link before the
 	// parent learns of it: the announcements are the first packets Q ever

@@ -6,15 +6,15 @@ import (
 	"time"
 )
 
-// splitEcho builds a Recoverable chan-fabric network with load reports on,
+// splitEcho builds a Recoverable chan-fabric network with telemetry on,
 // whose back-ends answer every multicast with their rank.
 func splitEcho(t *testing.T, spec string, lr time.Duration) *Network {
 	t.Helper()
 	tree := mustTree(t, spec)
 	nw, err := NewNetwork(Config{
-		Topology:         tree,
-		Recoverable:      true,
-		LoadReportPeriod: lr,
+		Topology:        tree,
+		Recoverable:     true,
+		TelemetryPeriod: lr,
 		OnBackEnd: func(be *BackEnd) error {
 			for {
 				p, err := be.Recv()
@@ -275,8 +275,8 @@ func TestSplitThenKillDonorConverges(t *testing.T) {
 	}
 }
 
-// TestLoadReportsReachFrontEnd: internal processes' pressure samples relay
-// up to the front-end and rate counters advance under traffic.
+// TestLoadReportsReachFrontEnd: internal processes' telemetry load fields
+// relay up to the front-end and rate counters advance under traffic.
 func TestLoadReportsReachFrontEnd(t *testing.T) {
 	nw := splitEcho(t, "kary:2^2", 5*time.Millisecond)
 	defer nw.Shutdown()
@@ -294,19 +294,19 @@ func TestLoadReportsReachFrontEnd(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		rep := nw.LoadReports()
+		rep := nw.Telemetry()
 		if s1, ok1 := rep[1]; ok1 {
 			if s2, ok2 := rep[2]; ok2 && s1.UpPackets > 0 && s2.UpPackets > 0 {
 				break
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("load reports incomplete: %v", nw.LoadReports())
+			t.Fatalf("load samples incomplete: %v", nw.Telemetry())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	m := nw.Metrics()
-	if m.LoadReportsSent.Load() == 0 || m.LoadReportsSeen.Load() == 0 {
-		t.Error("load report metrics not counted")
+	if m.TelemetrySent.Load() == 0 || m.TelemetrySeen.Load() == 0 {
+		t.Error("telemetry metrics not counted")
 	}
 }

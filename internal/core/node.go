@@ -54,7 +54,7 @@ type node struct {
 	// signal that decides inline execution vs shard dispatch.
 	inbox chan inMsg
 	// ctrlLane is the second ingress lane: readers divert order-free
-	// control (heartbeat relays) here, so liveness traffic flows even while
+	// control (telemetry relays) here, so liveness traffic flows even while
 	// the data inbox is saturated — it can never be head-of-line blocked
 	// behind data frames. Credit grants never reach either lane: the
 	// transport absorbs them at the receive edge.
@@ -90,7 +90,7 @@ type node struct {
 	killOnce sync.Once
 
 	// parentMu guards ep.Parent for readers outside the event loop (the
-	// heartbeat goroutine); epMu guards ep.Children structure for Kill.
+	// telemetry goroutine); epMu guards ep.Children structure for Kill.
 	parentMu sync.RWMutex
 	epMu     sync.Mutex
 
@@ -107,10 +107,10 @@ type node struct {
 	ckpts    map[Rank]map[uint32][]byte
 	reroute  []*packet.Packet
 
-	// Elastic-topology load sampling (Config.LoadReportPeriod). upCount is
-	// the cumulative upstream data packets this router has dispatched (one
+	// Telemetry load sampling (Config.TelemetryPeriod). upCount is the
+	// cumulative upstream data packets this router has dispatched (one
 	// atomic add per run, beside the global counter); outRef publishes the
-	// parent egress queue to the load-report goroutine, which samples its
+	// parent egress queue to the telemetry goroutine, which samples its
 	// depth and stall count — the pointer is written once by run before any
 	// traffic flows and never reassigned (reparenting swaps the queue's
 	// link, not the queue).
@@ -287,6 +287,13 @@ func (n *node) parentLink() transport.Link {
 	return n.ep.Parent
 }
 
+// loadSample reads the router's telemetry load fields; safe outside the
+// event loop.
+func (n *node) loadSample() LoadSample {
+	q := n.outRef.Load()
+	return LoadSample{Origin: n.rank, UpPackets: n.upCount.Load(), Queued: int64(q.pending()), Stalls: q.stalls()}
+}
+
 // installChild places a link at the given child slot, growing the slice
 // with nil placeholders if slots were assigned out of order. The slot's
 // egress queue follows the link: a replacement link gets a fresh queue and
@@ -354,14 +361,16 @@ func (n *node) addChild(a attachMsg, inbox chan inMsg) {
 const ctrlLaneDepth = 256
 
 // orderFreeControl reports whether p is control traffic with no data-plane
-// ordering semantics (heartbeat beacons and load reports). Such packets
-// ride the ingress control lane, bypassing the data inbox entirely.
+// ordering semantics (the periodic telemetry sample). It is the one
+// classifier: such packets ride the ingress control lane, bypassing the
+// data inbox entirely, and the egress scheduler's control lane, bypassing
+// epoch barriers and credit-stalled data.
 func orderFreeControl(p *packet.Packet) bool {
 	if p.Tag != packet.TagControl {
 		return false
 	}
 	op, err := ctrlOp(p)
-	return err == nil && (op == opHeartbeat || op == opLoadReport)
+	return err == nil && op == opTelemetry
 }
 
 // splitOrderFree diverts order-free control packets in ps to the control
@@ -463,13 +472,13 @@ func (n *node) quiesceShards(fn func()) {
 }
 
 // handleOrderFree processes one control-lane packet on the router:
-// heartbeat beacons and load reports relay toward the front-end with
-// flush-through (their latency compounds per level, and they carry no
-// ordering semantics, so jumping ahead of shard-pending or credit-stalled
-// data is safe). An orphan drops the relay — the dead parent link would
-// have dropped it anyway.
+// telemetry samples relay toward the front-end with flush-through (their
+// latency compounds per level, and they carry no ordering semantics, so
+// jumping ahead of shard-pending or credit-stalled data is safe). An
+// orphan drops the relay — the dead parent link would have dropped it
+// anyway.
 func (n *node) handleOrderFree(p *packet.Packet) {
-	if op, err := ctrlOp(p); err == nil && (op == opHeartbeat || op == opLoadReport) && !n.orphaned {
+	if orderFreeControl(p) && !n.orphaned {
 		_ = n.parentOut.sendNow(p)
 	}
 }

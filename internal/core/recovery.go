@@ -19,7 +19,7 @@ import (
 //     links abruptly so neighbors observe the failure exactly as they
 //     would a real crash;
 //   - failure detection feed: every non-root process emits periodic
-//     heartbeat control packets that relay to the front-end, where
+//     telemetry control packets that relay to the front-end, where
 //     internal/recovery's detector watches for silence;
 //   - live reconfiguration: Adopt applies the grandparent-adoption rule in
 //     place — orphans are re-linked under the failed node's parent, stream
@@ -411,10 +411,6 @@ func (nw *Network) Recoverable() bool { return nw.cfg.Recoverable }
 // Transport returns the network's link substrate kind.
 func (nw *Network) Transport() TransportKind { return nw.cfg.Transport }
 
-// HeartbeatPeriod returns the configured failure-detection beacon period
-// (zero when heartbeats are disabled).
-func (nw *Network) HeartbeatPeriod() time.Duration { return nw.cfg.HeartbeatPeriod }
-
 // Registry returns the filter registry the overlay instantiates from.
 func (nw *Network) Registry() *filter.Registry { return nw.registry }
 
@@ -457,49 +453,6 @@ func (nw *Network) CheckpointNow() int {
 		}
 	}
 	return total
-}
-
-// noteHeartbeat records a liveness beacon observed at the front-end.
-func (nw *Network) noteHeartbeat(origin Rank) {
-	nw.metrics.HeartbeatsSeen.Add(1)
-	nw.hbMu.Lock()
-	nw.lastHB[origin] = time.Now()
-	nw.hbMu.Unlock()
-}
-
-// Heartbeats snapshots the last time each rank's beacon reached the
-// front-end. Ranks that have never been heard from are absent.
-func (nw *Network) Heartbeats() map[Rank]time.Time {
-	nw.hbMu.Lock()
-	defer nw.hbMu.Unlock()
-	out := make(map[Rank]time.Time, len(nw.lastHB))
-	for r, t := range nw.lastHB {
-		out[r] = t
-	}
-	return out
-}
-
-// heartbeatLoop periodically emits this rank's liveness beacon on its
-// current parent link. It stops at network teardown or when the rank is
-// killed; send failures (a dead parent, pre-adoption) are retried on the
-// next tick.
-func (nw *Network) heartbeatLoop(origin Rank, link func() transport.Link, stop <-chan struct{}) {
-	t := time.NewTicker(nw.cfg.HeartbeatPeriod)
-	defer t.Stop()
-	for {
-		select {
-		case <-nw.dying:
-			return
-		case <-stop:
-			return
-		case <-t.C:
-			if l := link(); l != nil {
-				if err := l.Send(heartbeatPacket(origin)); err == nil {
-					nw.metrics.HeartbeatsSent.Add(1)
-				}
-			}
-		}
-	}
 }
 
 // Kill injects a crash fault: the process at rank is terminated without

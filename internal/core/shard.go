@@ -26,7 +26,7 @@ import (
 //
 // The mailbox being unbounded is what keeps the router a pure control
 // plane: dispatch never blocks, so control traffic (recovery commands,
-// attach, heartbeat relays, credit grants) can never be head-of-line
+// attach, telemetry relays, credit grants) can never be head-of-line
 // blocked behind a slow pipeline. Mailbox occupancy is still bounded —
 // by the flow-control protocol rather than a channel capacity: with
 // Config.LinkWindow set, each inbound link can have at most one window of
@@ -433,23 +433,36 @@ func (sh *shard) runUp() {
 	defer sh.pool.wg.Done()
 	fast := 0
 	for {
-		if fast < 1024 {
-			if it, ok := sh.up.pop(); ok {
-				fast++
-				if done := sh.handleUp(it); done {
-					return
-				}
-				continue
+		if fast == 1024 {
+			// Cap reached with work still queued: release the due
+			// deadlines, then keep popping without blocking. Waiting on
+			// notify here could sleep on a non-empty lane — pushes made
+			// before the last token was consumed left no new token.
+			fast = 0
+			if d := sh.earliestDeadline(); !d.IsZero() && !time.Now().Before(d) {
+				sh.poll()
 			}
-			// Mailbox drained: nothing further will push the lane's
-			// retirement accumulations over the grant threshold, so return
-			// them to the peers now (budget-limited senders may be waiting).
-			sh.flushPend(sh.upPend)
 			select {
 			case <-sh.pool.stop:
 				return
 			default:
 			}
+		}
+		if it, ok := sh.up.pop(); ok {
+			fast++
+			if done := sh.handleUp(it); done {
+				return
+			}
+			continue
+		}
+		// Mailbox drained: nothing further will push the lane's retirement
+		// accumulations over the grant threshold, so return them to the
+		// peers now (budget-limited senders may be waiting).
+		sh.flushPend(sh.upPend)
+		select {
+		case <-sh.pool.stop:
+			return
+		default:
 		}
 		fast = 0
 		var timer *time.Timer

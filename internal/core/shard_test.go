@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,7 +211,7 @@ func TestMulticastEncodesOnceTCP(t *testing.T) {
 }
 
 // TestNoGoroutineLeakAfterShutdown verifies every goroutine the engine
-// spawns — link readers, shard workers, heartbeat loops, back-end handlers
+// spawns — link readers, shard workers, telemetry loops, back-end handlers
 // — terminates on all router exit paths: graceful shutdown, a killed
 // process (no drain), and recovery rewiring, on both fabrics.
 func TestNoGoroutineLeakAfterShutdown(t *testing.T) {
@@ -228,7 +229,7 @@ func TestNoGoroutineLeakAfterShutdown(t *testing.T) {
 				Topology:        mustTree(t, "kary:3^2"),
 				Transport:       f.kind,
 				Recoverable:     true,
-				HeartbeatPeriod: 5 * time.Millisecond,
+				TelemetryPeriod: 5 * time.Millisecond,
 				Shards:          4, // multi-worker data plane regardless of core count
 				Batch:           BatchPolicy{MaxBatch: 16, MaxDelay: time.Millisecond},
 				OnBackEnd: func(be *BackEnd) error {
@@ -295,4 +296,60 @@ func settledGoroutines(t *testing.T, target int) int {
 		time.Sleep(10 * time.Millisecond)
 	}
 	return n
+}
+
+// countingOps is a shardOps stub that counts the up-lane runs it executes.
+type countingOps struct{ up atomic.Int64 }
+
+func (o *countingOps) shardUp(*streamState, int, []*packet.Packet, *pendRetire) bool {
+	o.up.Add(1)
+	return true
+}
+func (o *countingOps) shardUpRaw([]*packet.Packet, *pendRetire) bool {
+	o.up.Add(1)
+	return true
+}
+func (o *countingOps) shardDown(*streamState, *packet.Packet)      {}
+func (o *countingOps) shardDownRaw(*packet.Packet)                 {}
+func (o *countingOps) shardCloseUp(*streamState)                   {}
+func (o *countingOps) shardCloseDown(*streamState, *packet.Packet) {}
+func (o *countingOps) shardPoll(*streamState, time.Time)           {}
+
+// TestUpLaneDrainsBacklogAboveFastCap: a backlog queued while the up-lane
+// worker is busy — so every push but the first finds the notify token
+// already taken — must drain completely even though it is several times
+// the worker's fast-iteration cap. The worker must not go to sleep on
+// notify with items still in its lane.
+func TestUpLaneDrainsBacklogAboveFastCap(t *testing.T) {
+	const backlog = 3000
+	var ops countingOps
+	var m Metrics
+	sp := newShardPool(1, &ops, &m)
+	sh := sp.shards[0]
+	// The quiesce barrier parks the worker mid-item; the backlog lands
+	// behind it and is released all at once.
+	sp.quiesce(func() {
+		for i := 0; i < backlog; i++ {
+			sh.up.push(&m, shardItem{kind: itemUpRaw})
+		}
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for ops.up.Load() < backlog {
+		if time.Now().After(deadline) {
+			sp.abort()
+			t.Fatalf("up lane processed %d of %d queued items, then slept with work pending", ops.up.Load(), backlog)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		sp.drainStop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		sp.abort()
+		t.Fatal("drainStop hung")
+	}
 }

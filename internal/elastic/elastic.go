@@ -1,8 +1,10 @@
-// Package elastic drives load-driven topology mutation: it turns the
-// overlay's per-process load reports (core.LoadSample) into per-subtree
-// heat scores and elastically reshapes the tree — splitting saturated
-// internal processes and merging cold ones — so sustained throughput
-// tracks the offered load even when it is badly skewed across subtrees.
+// Package elastic drives load-driven topology mutation: it turns the load
+// fields of the overlay's per-process telemetry samples (core.LoadSample,
+// the same stream internal/recovery's failure detector reads) into
+// per-subtree heat scores and elastically reshapes the tree — splitting
+// saturated internal processes and merging cold ones — so sustained
+// throughput tracks the offered load even when it is badly skewed across
+// subtrees.
 //
 // Heat is rate-normalized and relative: a process's score is its upstream
 // packet rate divided by the mean rate over all live internal processes.
@@ -28,7 +30,7 @@ import (
 // has working defaults.
 type Config struct {
 	// Network is the overlay to watch and mutate. Its Config must set
-	// LoadReportPeriod (no reports, no heat) and Recoverable (splits
+	// TelemetryPeriod (no samples, no heat) and Recoverable (splits
 	// migrate children over the reparent protocol).
 	Network *core.Network
 
@@ -93,7 +95,7 @@ type Mutation struct {
 	At time.Time
 }
 
-// mergeWarmup is how many load reports a rank must have contributed
+// mergeWarmup is how many telemetry samples a rank must have contributed
 // before its measured rate can justify merging it away.
 const mergeWarmup = 4
 
@@ -224,7 +226,7 @@ func (c *Controller) tick() {
 	}
 
 	live := nw.LiveInternal()
-	reports := nw.LoadReports()
+	reports := nw.Telemetry()
 	now := time.Now()
 
 	type rated struct {

@@ -24,9 +24,9 @@ func buildLoaded(t *testing.T, spec string, burst func(core.Rank) int) (*core.Ne
 		t.Fatal(err)
 	}
 	nw, err := core.NewNetwork(core.Config{
-		Topology:         tree,
-		Recoverable:      true,
-		LoadReportPeriod: 5 * time.Millisecond,
+		Topology:        tree,
+		Recoverable:     true,
+		TelemetryPeriod: 5 * time.Millisecond,
 		OnBackEnd: func(be *core.BackEnd) error {
 			p, err := be.Recv() // wait for the start multicast
 			if err != nil {

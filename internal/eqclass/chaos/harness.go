@@ -212,7 +212,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// Executor: run the kill schedule against the streaming overlay, then
 	// recover the victims shallowest-first — overlapping failures (a
 	// parent and child both dead) converge in that order, exactly as the
-	// heartbeat detector would drive them.
+	// telemetry detector would drive them.
 	execDone := make(chan error, 1)
 	go func() { execDone <- cfg.Schedule.execute(nw, mgr, tree) }()
 

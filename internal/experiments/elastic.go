@@ -155,13 +155,13 @@ func runElasticArm(cfg ElasticConfig, mode string) (ElasticRow, error) {
 	stopCold := make(chan struct{})
 
 	nw, err := core.NewNetwork(core.Config{
-		Topology:         tree,
-		Transport:        cfg.Transport,
-		Recoverable:      true,
-		ExactlyOnce:      true,
-		LinkWindow:       cfg.Window,
-		Batch:            core.DefaultBatchPolicy(),
-		LoadReportPeriod: 10 * time.Millisecond,
+		Topology:        tree,
+		Transport:       cfg.Transport,
+		Recoverable:     true,
+		ExactlyOnce:     true,
+		LinkWindow:      cfg.Window,
+		Batch:           core.DefaultBatchPolicy(),
+		TelemetryPeriod: 10 * time.Millisecond,
 		OnBackEnd: func(be *core.BackEnd) error {
 			p, err := be.Recv()
 			if err != nil {

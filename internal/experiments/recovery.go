@@ -20,8 +20,8 @@ type RecoveryConfig struct {
 	// Transports are the link substrates under test; empty means chan
 	// and TCP (live rewiring is fabric-agnostic, so both are measured).
 	Transports []core.TransportKind
-	// HeartbeatPeriod and Timeout parameterize the failure detector.
-	HeartbeatPeriod time.Duration
+	// TelemetryPeriod and Timeout parameterize the failure detector.
+	TelemetryPeriod time.Duration
 	Timeout         time.Duration
 	// Net is the link-cost model used for the modeled (cluster-scale)
 	// reconnection cost, as in the paper's experiments.
@@ -46,7 +46,7 @@ func DefaultRecoveryConfig() RecoveryConfig {
 			"balanced:64,4", "knomial:2^5",
 		},
 		Transports:      []core.TransportKind{core.ChanTransport, core.TCPTransport},
-		HeartbeatPeriod: 5 * time.Millisecond,
+		TelemetryPeriod: 5 * time.Millisecond,
 		Timeout:         50 * time.Millisecond,
 		Net:             simnet.GigE,
 	}
@@ -78,7 +78,7 @@ type RecoveryRow struct {
 
 // RunRecovery measures, per tree shape, the end-to-end latency of live
 // failure recovery: a mid-level communication process is crashed under an
-// active reduction stream, the heartbeat detector declares it, the
+// active reduction stream, the telemetry detector declares it, the
 // reconfiguration engine adopts the orphans, and the stream must produce
 // the full-membership sum again.
 func RunRecovery(cfg RecoveryConfig) ([]RecoveryRow, error) {
@@ -116,7 +116,7 @@ func recoverOneShape(cfg RecoveryConfig, spec string, tr core.TransportKind) (Re
 		Topology:        tree,
 		Transport:       tr,
 		Recoverable:     true,
-		HeartbeatPeriod: cfg.HeartbeatPeriod,
+		TelemetryPeriod: cfg.TelemetryPeriod,
 		OnBackEnd: func(be *core.BackEnd) error {
 			for {
 				p, err := be.Recv()
@@ -167,7 +167,7 @@ func recoverOneShape(cfg RecoveryConfig, spec string, tr core.TransportKind) (Re
 		if time.Now().After(deadline) {
 			return RecoveryRow{}, fmt.Errorf("detector never declared rank %d", victim)
 		}
-		time.Sleep(cfg.HeartbeatPeriod)
+		time.Sleep(cfg.TelemetryPeriod)
 	}
 	rep := mgr.Reports()[0]
 	v, err := round()

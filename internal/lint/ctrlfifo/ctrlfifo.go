@@ -2,14 +2,14 @@
 // §§6, 11): control packets are FIFO with the data they configure —
 // a stream-open must not overtake the close of its predecessor, an epoch
 // barrier must not overtake the data it fences. The ONLY control op allowed
-// to leave the ordered lane is the heartbeat beacon (opHeartbeat): it is
-// periodic, lossy-safe, and carries no data-plane ordering semantics, so it
+// to leave the ordered lane is the periodic telemetry sample (opTelemetry):
+// it is lossy-safe and carries no data-plane ordering semantics, so it
 // rides the order-free control lane to stay live under data backpressure.
 //
 // This analyzer finds the order-free fast paths — sends into a ctrl/
 // ctrlLane channel and appends onto an egress scheduler's .ctrl lane — and
 // requires each to be dominated by a guard that checks for the allowlisted
-// op: a call to orderFreeControl(...) or a comparison against opHeartbeat
+// op: a call to orderFreeControl(...) or a comparison against opTelemetry
 // in an enclosing if/case condition. Routing any other control op through
 // these paths would let it overtake the data lane, which is exactly the
 // reordering the FIFO contract forbids.
@@ -29,16 +29,16 @@ import (
 // Analyzer is the ctrlfifo invariant checker.
 var Analyzer = &lint.Analyzer{
 	Name: "ctrlfifo",
-	Doc:  "only allowlisted order-free control (opHeartbeat) may bypass the FIFO lanes",
+	Doc:  "only allowlisted order-free control (opTelemetry) may bypass the FIFO lanes",
 	Run:  run,
 }
 
 // allowlist names the idents whose presence in a guard condition authorizes
 // the order-free path. orderFreeControl is the chokepoint predicate;
-// opHeartbeat is the one allowlisted op for direct comparisons.
+// opTelemetry is the one allowlisted op for direct comparisons.
 var allowlist = map[string]bool{
 	"orderFreeControl": true,
-	"opHeartbeat":      true,
+	"opTelemetry":      true,
 }
 
 // ctrlChan reports whether e names an order-free control channel (ctrl,
@@ -74,13 +74,13 @@ func mentionsAllowed(n ast.Node) bool {
 // guardStack walks a function body tracking the conditions dominating each
 // node: if-conditions (with init), case clauses, and the function's own
 // name (a helper named for the allowlisted op — e.g. handleOrderFree,
-// relayHeartbeat — is itself the guard, checked at its call sites).
+// relayTelemetry — is itself the guard, checked at its call sites).
 func run(pass *lint.Pass) error {
 	lint.FuncsOf(pass.Files, func(fd *ast.FuncDecl) {
 		// A function whose name marks it as the order-free handler is
 		// trusted wholesale: its single caller sits behind the real guard.
 		lname := strings.ToLower(fd.Name.Name)
-		if strings.Contains(lname, "orderfree") || strings.Contains(lname, "heartbeat") {
+		if strings.Contains(lname, "orderfree") || strings.Contains(lname, "telemetry") {
 			return
 		}
 		check(pass, fd.Body, false)
@@ -113,7 +113,7 @@ func check(pass *lint.Pass, n ast.Node, guarded bool) {
 		}
 	case *ast.SendStmt:
 		if ctrlChan(st.Chan) && !guarded {
-			pass.Reportf(st.Pos(), "send into the order-free control lane without an opHeartbeat/orderFreeControl guard: non-allowlisted control must stay FIFO with the data lane")
+			pass.Reportf(st.Pos(), "send into the order-free control lane without an opTelemetry/orderFreeControl guard: non-allowlisted control must stay FIFO with the data lane")
 		}
 		walkChildren(pass, st, guarded)
 	case *ast.AssignStmt:
@@ -125,7 +125,7 @@ func check(pass *lint.Pass, n ast.Node, guarded bool) {
 			}
 			if call, ok := ast.Unparen(st.Rhs[i]).(*ast.CallExpr); ok &&
 				lint.CalleeName(call) == "append" && len(call.Args) > 1 && !guarded {
-				pass.Reportf(st.Pos(), "append onto the order-free ctrl lane without an opHeartbeat/orderFreeControl guard: non-allowlisted control must stay FIFO with the data lane")
+				pass.Reportf(st.Pos(), "append onto the order-free ctrl lane without an opTelemetry/orderFreeControl guard: non-allowlisted control must stay FIFO with the data lane")
 			}
 		}
 		walkChildren(pass, st, guarded)

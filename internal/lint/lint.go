@@ -9,7 +9,7 @@
 //
 // The framework is purely syntactic (go/ast, no go/types): every analyzer
 // encodes a repo contract in terms of the repo's own naming conventions
-// (mutex field names, Recv/RecvBatch, MakeSeq, opHeartbeat, ...), which is
+// (mutex field names, Recv/RecvBatch, MakeSeq, opTelemetry, ...), which is
 // exactly the level the DESIGN.md invariants are stated at.
 //
 // Suppression: a comment of the form

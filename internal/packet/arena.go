@@ -38,7 +38,7 @@ type Buf struct {
 
 // Arena size classes: powers of two from 64 B (2^6) to 64 KiB (2^16).
 // Packets below 64 B don't exist (minEncodedPacket is 25, but grants and
-// heartbeats land in the smallest class), and frames above 64 KiB are
+// telemetry samples land in the smallest class), and frames above 64 KiB are
 // rare enough — maxEgressFrameBytes-sized flushes — that the GC handles
 // the tail.
 const (

@@ -30,11 +30,11 @@ func FuzzDecode(f *testing.F) {
 		MustNew(TagControl, 0, 0, "%d %d %s %d %d",
 			int64(5), int64(4095), "", int64(0), int64(0)),
 		MustNew(TagControl, 0, 0, "%d %d", int64(6), int64(9)),
-		// Load report (op 8): origin, cumulative upstream packets, queue
-		// depth, cumulative stalls — core's opLoadReport wire shape, so
-		// mutations exercise the elastic-topology control path.
+		// Telemetry (op 4): origin, cumulative upstream packets, queue
+		// depth, cumulative stalls — core's opTelemetry wire shape, so
+		// mutations exercise the liveness and elastic-topology feed.
 		MustNew(TagControl, 0, 3, "%d %d %d %d %d",
-			int64(8), int64(3), int64(1<<40), int64(17), int64(0)),
+			int64(4), int64(3), int64(1<<40), int64(17), int64(0)),
 	}
 	for _, p := range seeds {
 		f.Add(p.Encode())

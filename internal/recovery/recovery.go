@@ -5,8 +5,10 @@
 // this package detects failures and applies the plan to the running
 // overlay.
 //
-// The Manager watches the heartbeat beacons every non-root process relays
-// to the front-end (core.Config.HeartbeatPeriod). When a process falls
+// The Manager watches the telemetry samples every non-root process relays
+// to the front-end (core.Config.TelemetryPeriod): a sample's arrival time
+// is the process's liveness beacon, read from the same table
+// internal/elastic reads load from. When a process falls
 // silent past the configured timeout it is declared failed: the manager
 // asks reliability.Recover for the reconfiguration plan, drives
 // core.Network.Adopt to apply it live (grandparent adoption, stream
@@ -32,7 +34,7 @@
 //	nw, _ := core.NewNetwork(core.Config{
 //	    Topology:        tree,
 //	    Recoverable:     true,
-//	    HeartbeatPeriod: 50 * time.Millisecond,
+//	    TelemetryPeriod: 50 * time.Millisecond,
 //	    ...
 //	})
 //	mgr, _ := recovery.New(nw, recovery.Config{Timeout: 250 * time.Millisecond})
@@ -55,7 +57,7 @@ import (
 // Config parameterizes the failure detector.
 type Config struct {
 	// Timeout is the silence after which a communication process is
-	// declared failed. It should be several heartbeat periods; New
+	// declared failed. It should be several telemetry periods; New
 	// rejects anything under two periods.
 	Timeout time.Duration
 	// LeafTimeout is the (longer) silence required to declare a back-end
@@ -100,7 +102,7 @@ type Report struct {
 	At time.Time
 }
 
-// Manager couples the heartbeat failure detector to the live
+// Manager couples the telemetry failure detector to the live
 // reconfiguration engine. Create with New; one manager per network.
 type Manager struct {
 	nw  *core.Network
@@ -131,16 +133,16 @@ type Manager struct {
 
 // New creates a manager for the network. The network must have been
 // built Recoverable; automatic detection (Start) additionally requires
-// heartbeats.
+// telemetry.
 func New(nw *core.Network, cfg Config) (*Manager, error) {
 	if !nw.Recoverable() {
 		return nil, errors.New("recovery: network not built with core.Config.Recoverable")
 	}
 	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * nw.HeartbeatPeriod()
+		cfg.Timeout = 10 * nw.TelemetryPeriod()
 	}
-	if hb := nw.HeartbeatPeriod(); hb > 0 && cfg.Timeout < 2*hb {
-		return nil, fmt.Errorf("recovery: timeout %v under two heartbeat periods (%v)", cfg.Timeout, hb)
+	if tp := nw.TelemetryPeriod(); tp > 0 && cfg.Timeout < 2*tp {
+		return nil, fmt.Errorf("recovery: timeout %v under two telemetry periods (%v)", cfg.Timeout, tp)
 	}
 	if cfg.LeafTimeout <= 0 {
 		cfg.LeafTimeout = 3 * cfg.Timeout
@@ -167,11 +169,11 @@ func New(nw *core.Network, cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Start launches the failure detector. It requires heartbeats. A stopped
+// Start launches the failure detector. It requires telemetry. A stopped
 // manager may be started again.
 func (m *Manager) Start() error {
-	if m.nw.HeartbeatPeriod() <= 0 {
-		return errors.New("recovery: network has no heartbeats (core.Config.HeartbeatPeriod)")
+	if m.nw.TelemetryPeriod() <= 0 {
+		return errors.New("recovery: network has no telemetry (core.Config.TelemetryPeriod)")
 	}
 	m.mu.Lock()
 	if m.started {
@@ -258,7 +260,7 @@ func (m *Manager) watch(stop <-chan struct{}, done chan<- struct{}) {
 // detect returns the shallowest process whose beacon has been silent past
 // the timeout, if any.
 func (m *Manager) detect() (core.Rank, time.Duration, bool) {
-	hb := m.nw.Heartbeats()
+	tel := m.nw.Telemetry()
 	now := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -270,8 +272,8 @@ func (m *Manager) detect() (core.Rank, time.Duration, bool) {
 			continue // the front-end does not beacon
 		}
 		last := m.baseline[orig]
-		if t, ok := hb[orig]; ok && t.After(last) {
-			last = t
+		if s, ok := tel[orig]; ok && s.At.After(last) {
+			last = s.At
 		}
 		if last.IsZero() {
 			continue // detector not started for this rank yet

@@ -31,7 +31,7 @@ var fabrics = map[string]core.TransportKind{
 	"tcp":  core.TCPTransport,
 }
 
-// sumEcho builds a recoverable, heartbeating chan-fabric network whose
+// sumEcho builds a recoverable, telemetry-emitting chan-fabric network whose
 // back-ends answer every multicast with their rank.
 func sumEcho(t *testing.T, spec string, hb time.Duration) *core.Network {
 	t.Helper()
@@ -45,7 +45,7 @@ func sumEchoOn(t *testing.T, spec string, hb time.Duration, kind core.TransportK
 		Topology:        mustTree(t, spec),
 		Transport:       kind,
 		Recoverable:     true,
-		HeartbeatPeriod: hb,
+		TelemetryPeriod: hb,
 		OnBackEnd: func(be *core.BackEnd) error {
 			for {
 				p, err := be.Recv()
@@ -225,13 +225,13 @@ func TestManagerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := m.Start(); err == nil {
-		t.Error("start without heartbeats: want error")
+		t.Error("start without telemetry: want error")
 	}
 
 	hb := sumEcho(t, "flat:2", 50*time.Millisecond)
 	defer hb.Shutdown()
 	if _, err := New(hb, Config{Timeout: 60 * time.Millisecond}); err == nil {
-		t.Error("timeout under two heartbeat periods: want error")
+		t.Error("timeout under two telemetry periods: want error")
 	}
 
 	// Live rewiring is fabric-agnostic: a TCP network is a valid manager
@@ -246,7 +246,7 @@ func TestManagerValidation(t *testing.T) {
 	}
 }
 
-// TestManagerAutoRecoversOnTCP: the heartbeat detector and live
+// TestManagerAutoRecoversOnTCP: the telemetry detector and live
 // reconfiguration drive recovery end-to-end over real TCP links.
 func TestManagerAutoRecoversOnTCP(t *testing.T) {
 	nw := sumEchoOn(t, "kary:2^2", 10*time.Millisecond, core.TCPTransport)
@@ -407,7 +407,7 @@ func runEqclassWorkload(t *testing.T, spec string, kind core.TransportKind, kill
 		Registry:        reg,
 		Transport:       kind,
 		Recoverable:     true,
-		HeartbeatPeriod: 10 * time.Millisecond,
+		TelemetryPeriod: 10 * time.Millisecond,
 		OnBackEnd: func(be *core.BackEnd) error {
 			for {
 				p, err := be.Recv()

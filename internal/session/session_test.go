@@ -196,7 +196,7 @@ func runTenants(t *testing.T, spec string, kind core.TransportKind, n int, kill 
 		Registry:        reg,
 		Transport:       kind,
 		Recoverable:     true,
-		HeartbeatPeriod: 10 * time.Millisecond,
+		TelemetryPeriod: 10 * time.Millisecond,
 		OnBackEnd: func(be *core.BackEnd) error {
 			for {
 				p, err := be.Recv()
