@@ -48,7 +48,7 @@ func main() {
 	}
 	var opts []query.Option
 	if *batch > 1 {
-		opts = append(opts, query.WithBatch(core.BatchPolicy{MaxBatch: *batch, Adaptive: true}))
+		opts = append(opts, query.WithBatch(core.BatchPolicy{MaxBatch: *batch}))
 	}
 	if *window > 0 {
 		opts = append(opts, query.WithLinkWindow(*window))

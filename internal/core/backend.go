@@ -131,18 +131,23 @@ func (be *BackEnd) killed() bool {
 // a packet is what hands the parent its send credit back — a handler that
 // stops reading throttles the whole path back to the front-end producer,
 // with one window of packets in flight.
+//
+// Recv is also the handler's idle point: entering it with nothing
+// delivered means the handler is about to wait, so whatever its sends
+// queued is flushed now, together with the credits owed for the packets
+// it consumed — a request's reply and the grant for the request leave in
+// one frame instead of waiting out the age bound. A handler that stops
+// calling Recv still returns its credits within MaxDelay (they arm the
+// queue's age deadline).
 func (be *BackEnd) Recv() (*packet.Packet, error) {
+	if len(be.inbox) == 0 {
+		_ = be.eg.flushIdle()
+	}
 	d, ok := <-be.inbox
 	if !ok {
 		return nil, io.EOF
 	}
 	retireAndGrant(&be.nw.metrics, d.src, 1)
-	if len(be.inbox) == 0 {
-		// The handler has consumed everything delivered so far: grant the
-		// below-threshold remainder back rather than sitting on it (see
-		// flushGrant — a budget-limited producer may need these credits).
-		flushGrant(&be.nw.metrics, d.src)
-	}
 	return d.p, nil
 }
 

@@ -89,12 +89,18 @@ func TestShutdownFlushesEgress(t *testing.T) {
 // Grandparent adoption must re-parent the orphans with those queues
 // intact: after recovery and shutdown every accepted packet arrives at the
 // front-end exactly once — none lost with the dead link, none duplicated
-// by the re-flush.
+// by the re-flush. The handlers hold off entering Recv — an idle point that
+// flushes their queues — until the re-flushed packets have been checked,
+// so the packets really are pending when the victim dies.
 func TestKillWithPendingEgressNoLossNoDup(t *testing.T) {
 	tree := mustTree(t, "kary:4^2")
 	const perBE = 5
 	var stID uint32
 	ready := make(chan struct{})
+	recvGate := make(chan struct{})
+	var openGate sync.Once
+	release := func() { openGate.Do(func() { close(recvGate) }) }
+	defer release()
 	var enqueued sync.WaitGroup
 	enqueued.Add(len(tree.Leaves()))
 	nw, err := NewNetwork(Config{
@@ -112,6 +118,7 @@ func TestKillWithPendingEgressNoLossNoDup(t *testing.T) {
 				}
 			}
 			enqueued.Done()
+			<-recvGate
 			for {
 				if _, err := be.Recv(); err != nil {
 					return nil
@@ -152,6 +159,7 @@ func TestKillWithPendingEgressNoLossNoDup(t *testing.T) {
 		}
 		got[v]++
 	}
+	release()
 	if err := nw.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +377,7 @@ func TestSoakBatchingEquivalence(t *testing.T) {
 				shape, leaves, sumStreams, rounds, leaves*sumStreams*rounds, leaves)
 			off := runSoak(t, shape, sumStreams, rounds, Config{})
 			on := runSoak(t, shape, sumStreams, rounds, Config{Batch: BatchPolicy{
-				MaxBatch: 32, MaxDelay: 2 * time.Millisecond, Adaptive: true,
+				MaxBatch: 32, MaxDelay: 2 * time.Millisecond,
 			}})
 			if t.Failed() {
 				return

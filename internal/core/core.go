@@ -151,12 +151,13 @@ type Metrics struct {
 	FlushAge        atomic.Int64 // flushes triggered by the age bound
 	FlushControl    atomic.Int64 // flushes forced by control packets
 	FlushDrain      atomic.Int64 // flushes at shutdown/reparent drains
+	FlushIdle       atomic.Int64 // flushes at idle points (lane drained, handler waiting)
 	EgressHighWater atomic.Int64 // deepest egress queue observed (packets)
 	EgressDrops     atomic.Int64 // packets dropped at a dead or fenced link
 
 	// Credit-based flow control observability.
 	CreditStalls atomic.Int64 // flushes cut short by an exhausted peer window
-	CreditGrants atomic.Int64 // credit-grant packets sent back to peers
+	CreditGrants atomic.Int64 // credit grants sent back to peers, alone or at the head of a data frame
 
 	// Multi-tenant session fabric observability.
 	SessionsOpened   atomic.Int64 // tenant sessions admitted (OpenSession)
@@ -429,6 +430,7 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"flush_age":              m.FlushAge.Load(),
 		"flush_control":          m.FlushControl.Load(),
 		"flush_drain":            m.FlushDrain.Load(),
+		"flush_idle":             m.FlushIdle.Load(),
 		"egress_high_water":      m.EgressHighWater.Load(),
 		"egress_drops":           m.EgressDrops.Load(),
 		"credit_stalls":          m.CreditStalls.Load(),

@@ -13,10 +13,14 @@ import (
 // a per-link egress buffer and are flushed as one multi-packet frame when
 // the buffer reaches the flush window (size), when the oldest queued
 // packet has waited MaxDelay (age), when a control packet must not be
-// delayed (control), or when the owner drains at shutdown/reparent
-// (drain). Batching amortizes per-message link costs — a channel transfer
-// or a TCP write+flush — over the whole frame, which is what keeps
-// per-packet overhead from dominating tree throughput.
+// delayed (control), when the goroutine feeding the queue runs out of
+// work (idle: a shard lane's mailbox drains, a back-end handler enters
+// Recv with nothing delivered), or when the owner drains at
+// shutdown/reparent (drain). Batching amortizes per-message link costs — a
+// channel transfer or a TCP write+flush — over the whole frame, which is
+// what keeps per-packet overhead from dominating tree throughput; idle
+// flushing keeps a closed-loop request from waiting out MaxDelay at every
+// hop when nothing else is coming to share its frame.
 type BatchPolicy struct {
 	// MaxBatch is the flush window in packets; a value <= 1 disables
 	// batching and every Send goes straight to the link.
@@ -25,12 +29,6 @@ type BatchPolicy struct {
 	// an age flush. Non-positive values get DefaultBatchDelay when
 	// batching is enabled, so a queued packet can never strand.
 	MaxDelay time.Duration
-	// Adaptive enables the congestion-adaptive window: the effective flush
-	// window doubles (up to MaxBatch) every time traffic fills it before
-	// the age deadline, and halves after an age flush, so light traffic
-	// keeps near-per-packet latency while heavy traffic converges to
-	// full-window batching — an adaptive backpressure window.
-	Adaptive bool
 }
 
 // DefaultBatchDelay is the age bound applied when a policy enables
@@ -73,14 +71,15 @@ const maxFlushRounds = 8
 
 // flush causes, for the metrics counters. flushResume is a credit-aware
 // re-flush after reparenting (counted with the drains, but — unlike a
-// drain — it respects the peer's window and never skews the adaptive
-// window).
+// drain — it respects the peer's window). A flush that owed credits ask
+// for counts as control: a grant is a control packet that must not wait.
 const (
 	flushSize = iota
 	flushAge
 	flushControl
 	flushDrain
 	flushResume
+	flushIdle
 )
 
 // egressQueue batches outbound packets for one link. It is safe for
@@ -99,9 +98,17 @@ const (
 //   - flushMu is the wire ownership: exactly one flusher at a time takes
 //     batches out (under mu) and sends them (outside mu). Triggered
 //     flushes use TryLock, so a producer or the router that finds a flush
-//     already in progress simply moves on — the active flusher loops and
-//     drains what they appended. Only the explicit drain (shutdown,
-//     reparent, Flush) blocks for the wire.
+//     already in progress simply moves on, leaving a "flush again" mark
+//     (again) that the active flusher honours before it lets go of the
+//     wire — so what they appended, or the credits they owe, never strand
+//     behind a flusher that took its last batch before they arrived. Only
+//     the explicit drain (shutdown, reparent, Flush) blocks for the wire.
+//
+// Credits the link owes the peer (receiver-side retirements) are sent by
+// the same flushes: each one claims them and puts the grant at the head of
+// the frame it writes, so a reply and the grant for the request it answers
+// share one write. Owed credits arm the age deadline the way a queued
+// packet does (owedAt).
 //
 // With flow control enabled (the link is a transport.FlowLink) the queue
 // is additionally hard-bounded: data occupancy is capped at the link
@@ -147,6 +154,10 @@ type egressQueue struct {
 
 	// flushMu is the wire ownership (see above). Held across link sends.
 	flushMu sync.Mutex
+	// again is the "flush again" mark: a flusher that loses the flushMu
+	// TryLock stores its cause + 1 here, and the holder re-runs the flush
+	// loop with that cause before returning (flushHeld).
+	again atomic.Int32
 	// takeBuf is the flusher's reusable batch buffer (owned by flushMu).
 	// It is recycled across flushes only when the link copies batches
 	// before SendBatch returns (copies); on retaining links — the
@@ -161,12 +172,17 @@ type egressQueue struct {
 	link transport.Link
 	// flow is the link's credit accounting when flow control is on (the
 	// same object as link); nil otherwise.
-	flow    *transport.FlowLink
-	buf     []*packet.Packet // plain FIFO (flow control off)
-	sched   *egressSched     // priority scheduler (flow control on)
-	bytes   int              // Σ encoded payload bytes queued (buf mode)
-	oldest  time.Time
-	window  int // adaptive effective flush window
+	flow   *transport.FlowLink
+	buf    []*packet.Packet // plain FIFO (flow control off)
+	sched  *egressSched     // priority scheduler (flow control on)
+	bytes  int              // Σ encoded payload bytes queued (buf mode)
+	oldest time.Time
+	// owedAt is when the link started owing the peer credits no flush has
+	// claimed yet (zero: none owed): it arms the age deadline like oldest
+	// does, so a receiver that stops reaching idle points still returns
+	// its credits within MaxDelay — even while credit-stalled itself.
+	owedAt  time.Time
+	window  int // flush window: MaxBatch, or 1 when flow control runs un-batched
 	stalled bool
 	// localHW mirrors the deepest depth this queue has reported to the
 	// global high-water gauge, so the hot path pays an atomic only when
@@ -227,12 +243,6 @@ func kickFunc(ch chan struct{}) func() {
 func newEgressQueue(l transport.Link, pol BatchPolicy, m *Metrics, retain bool, kick func()) *egressQueue {
 	q := &egressQueue{link: l, pol: pol, m: m, retain: retain, kick: kick, window: pol.MaxBatch}
 	q.copies = transport.BatchCopies(l)
-	if pol.Adaptive {
-		q.window = 2
-		if q.window > pol.MaxBatch {
-			q.window = pol.MaxBatch
-		}
-	}
 	q.adoptFlow(l)
 	return q
 }
@@ -266,6 +276,8 @@ func (q *egressQueue) adoptFlow(l transport.Link) {
 	// A grant from the peer may be the only thing that can restart a
 	// stalled queue: resume immediately on refill.
 	fl.SetRefillHook(q.unstall)
+	// Credits this end owes the peer ride this queue's frames.
+	fl.SetFlushHook(q.onOwed)
 	if q.xonce {
 		fl.SetAckHook(q.onAck)
 	}
@@ -639,25 +651,133 @@ func (q *egressQueue) queuedLocked() int {
 }
 
 // flush runs the take-and-send loop if no other flusher owns the wire;
-// otherwise the active flusher's loop will drain what triggered us.
+// otherwise it leaves the "flush again" mark, and the active flusher runs
+// the loop once more, with this cause, before it lets go of the wire.
 func (q *egressQueue) flush(cause int) error {
+	q.again.Store(int32(cause) + 1)
 	if !q.flushMu.TryLock() {
 		return nil
 	}
-	defer q.flushMu.Unlock()
-	return q.flushLoop(cause)
+	return q.flushHeld(nil)
+}
+
+// flushIdle is the idle-point flush: the goroutine feeding the queue has
+// no more work, so nothing it could batch with is coming. It sends what is
+// queued plus the credits the link owes, and is a no-op when there is
+// neither.
+func (q *egressQueue) flushIdle() error {
+	if q == nil {
+		return nil
+	}
+	q.mu.Lock()
+	idle := q.queuedLocked() == 0 && (q.flow == nil || q.flow.Owed() == 0)
+	q.mu.Unlock()
+	if idle {
+		return nil
+	}
+	return q.flush(flushIdle)
+}
+
+// onOwed is the link's flush hook (transport.FlowLink.SetFlushHook): a
+// retirer reports credits owed to the peer. now asks for them at once —
+// the grant threshold was crossed, or the receiver went idle; otherwise
+// they arm the age deadline, as a queued packet would.
+func (q *egressQueue) onOwed(now bool) {
+	if now {
+		_ = q.flush(flushControl)
+		return
+	}
+	q.mu.Lock()
+	armed := q.owedAt.IsZero()
+	if armed {
+		q.owedAt = time.Now()
+	}
+	q.mu.Unlock()
+	if armed && q.kick != nil {
+		q.kick()
+	}
 }
 
 // drainCause blocks for wire ownership and drains with the given cause.
 func (q *egressQueue) drainCause(cause int) error {
 	q.flushMu.Lock()
-	defer q.flushMu.Unlock()
-	return q.flushLoop(cause)
+	err := q.flushLoop(cause)
+	return q.flushHeld(err)
+}
+
+// flushHeld honours pending "flush again" marks, then hands the wire back.
+// A mark left after the last check is seen once the wire is released: the
+// marker's TryLock either failed against us (and its mark is still set,
+// so we take the wire back and run it) or succeeds after our unlock. Every
+// mark is therefore run by somebody — a stranded one would leave queued
+// data or owed credits behind with possibly nothing left to send them (a
+// stranded credit is a deadlock). Marks that keep arriving are run for at
+// most maxFlushRounds loops; then the rest is handed to the owner (see
+// handOff), because the holder may be the router, which must get back to
+// its control plane. Callers hold flushMu; err is the error of the
+// caller's own flush so far, returned if nothing later fails first.
+func (q *egressQueue) flushHeld(err error) error {
+	for runs := 0; ; {
+		if c := q.again.Swap(0); c != 0 {
+			if runs == maxFlushRounds && q.kick != nil {
+				q.flushMu.Unlock()
+				q.handOff()
+				return err
+			}
+			runs++
+			if e := q.flushLoop(int(c - 1)); err == nil {
+				err = e
+			}
+			continue
+		}
+		q.flushMu.Unlock()
+		if q.again.Load() == 0 || !q.flushMu.TryLock() {
+			return err
+		}
+	}
+}
+
+// handOff makes whatever is queued or owed due at once and kicks the
+// owner, whose timer loop then runs the flush: the end of a flusher's turn
+// when other flushers keep marking faster than it drains.
+func (q *egressQueue) handOff() {
+	q.mu.Lock()
+	now := time.Now()
+	if q.queuedLocked() > 0 {
+		q.oldest = now.Add(-q.pol.MaxDelay)
+	}
+	if q.flow != nil && q.flow.Owed() > 0 {
+		q.owedAt = now.Add(-q.owedDelay())
+	}
+	q.mu.Unlock()
+	q.kick()
+}
+
+// claimGrantLocked claims every credit the link owes the peer and returns
+// the grant carrying them, with an encoded-body hold the flusher drops
+// once the frame is written (nil when nothing is owed). The grant leads
+// the frame: the peer's absorb strips a leading grant without copying.
+// Callers hold mu.
+func (q *egressQueue) claimGrantLocked() *packet.Packet {
+	if q.flow == nil {
+		return nil
+	}
+	q.owedAt = time.Time{}
+	g := q.flow.FlushRetired()
+	if g == 0 {
+		return nil
+	}
+	q.m.CreditGrants.Add(1)
+	p := q.flow.GrantPacket(g)
+	p.RetainEncoded(1)
+	return p
 }
 
 // flushLoop repeatedly takes a batch (under mu) and sends it (outside mu)
 // until the queue is empty, the peer's credit window is exhausted, the
-// round bound is hit, or the wire fails. Callers hold flushMu.
+// round bound is hit, or the wire fails. Every round first claims the
+// credits the link owes and sends their grant at the head of the batch —
+// alone when no data can go. Callers hold flushMu.
 func (q *egressQueue) flushLoop(cause int) error {
 	// Drains normally bypass the credit window (shutdown must move even
 	// against a stalled peer), but a replaying queue cannot: every
@@ -668,11 +788,19 @@ func (q *egressQueue) flushLoop(cause int) error {
 	bypass := cause == flushDrain && !q.xonce
 	for round := 0; round < maxFlushRounds; round++ {
 		q.mu.Lock()
+		grant := q.claimGrantLocked()
 		var batch []*packet.Packet
 		var total, nData int
 		var stalled bool
 		if q.sched != nil {
-			batch, total, nData, stalled = q.sched.take(q.flow, bypass, q.takeBuf[:0])
+			dst := q.takeBuf[:0]
+			if grant != nil {
+				dst = append(dst, grant)
+				total = grant.EncodedSize() + 4
+			}
+			var taken int
+			batch, taken, nData, stalled = q.sched.take(q.flow, bypass, dst)
+			total += taken
 			// The take buffer is recycled across flushes only on links
 			// that copy batches; a retaining link owns the slice once
 			// sendFrames hands it over (the batchalias contract).
@@ -700,7 +828,28 @@ func (q *egressQueue) flushLoop(cause int) error {
 		}
 		q.mu.Unlock()
 
-		unsent, frames, err := q.sendFrames(batch, total)
+		// Count before writing: the peer may act on a frame before the
+		// write returns, and the counters must never lag what a peer has
+		// seen. A frame carrying nothing but the grant is credit traffic,
+		// not a data frame: the frame and flush-cause counters skip it.
+		data := grant == nil || len(batch) > 1
+		if data {
+			q.countFlush(cause, 1)
+		}
+		unsent, frames, err := q.sendFrames(batch, total, data)
+		if data && frames == 0 {
+			q.countFlush(cause, -1)
+		}
+		if grant != nil {
+			// The grant's custody ends with the write. On a failed first
+			// frame it never left, and its credits die with the link: a
+			// replacement link starts a fresh window on both sides.
+			grant.ReleaseEncoded()
+			if len(unsent) == len(batch) {
+				unsent = unsent[1:]
+			}
+			batch = batch[1:]
+		}
 		sent := batch[: len(batch)-len(unsent) : len(batch)]
 		if q.xonce {
 			// Ring-append the sent prefix even when the flush failed: those
@@ -714,31 +863,12 @@ func (q *egressQueue) flushLoop(cause int) error {
 			// bodies once every sharing queue has flushed.
 			releaseEncoded(sent)
 		}
-		if frames > 0 {
-			q.m.FramesSent.Add(frames)
-			switch cause {
-			case flushSize:
-				q.m.FlushSize.Add(1)
-			case flushAge:
-				q.m.FlushAge.Add(1)
-			case flushControl:
-				q.m.FlushControl.Add(1)
-			case flushDrain, flushResume:
-				q.m.FlushDrain.Add(1)
-			}
-		}
 		if err != nil {
-			q.failedFlush(batch, unsent, nData, bypass)
+			q.failedFlush(unsent, nData, bypass)
 			return err
 		}
 		q.releaseSlots(nData)
 		q.mu.Lock()
-		if round == 0 {
-			// Adapt the window only when the flush actually went out: a
-			// dead-link retry loop (retained buffer, recoverable owner) must
-			// not collapse or inflate the adaptive window while nothing moves.
-			q.adapt(cause)
-		}
 		if stalled && q.sched.count > 0 {
 			if q.grantLandedLocked() {
 				q.mu.Unlock()
@@ -758,6 +888,22 @@ func (q *egressQueue) flushLoop(cause int) error {
 		}
 	}
 	return nil
+}
+
+// countFlush adds d to the counter of the flush cause.
+func (q *egressQueue) countFlush(cause int, d int64) {
+	switch cause {
+	case flushSize:
+		q.m.FlushSize.Add(d)
+	case flushAge:
+		q.m.FlushAge.Add(d)
+	case flushControl:
+		q.m.FlushControl.Add(d)
+	case flushDrain, flushResume:
+		q.m.FlushDrain.Add(d)
+	case flushIdle:
+		q.m.FlushIdle.Add(d)
+	}
 }
 
 // releaseEncoded drops the enqueue-time custody hold of every data packet
@@ -826,7 +972,7 @@ func (q *egressQueue) unstall() {
 
 // failedFlush restores or drops the unsent remainder of a failed
 // flush and refunds any wire credits it had acquired.
-func (q *egressQueue) failedFlush(batch, unsent []*packet.Packet, nData int, bypass bool) {
+func (q *egressQueue) failedFlush(unsent []*packet.Packet, nData int, bypass bool) {
 	// Credits were acquired for every data packet taken; refund the unsent
 	// ones (unless the drain bypassed accounting entirely).
 	unsentData := 0
@@ -878,10 +1024,10 @@ func (q *egressQueue) failedFlush(batch, unsent []*packet.Packet, nData int, byp
 // not-yet-sent packets are returned; already-sent frames are delivered, so
 // nothing is duplicated on retry. Callers hold flushMu (which is what
 // makes reading q.link here safe: setLink swaps it only under flushMu).
-func (q *egressQueue) sendFrames(buf []*packet.Packet, total int) (unsent []*packet.Packet, frames int64, err error) {
+func (q *egressQueue) sendFrames(buf []*packet.Packet, total int, count bool) (unsent []*packet.Packet, frames int64, err error) {
 	link := q.link
 	if total <= maxEgressFrameBytes+4 {
-		if err := transport.SendBatch(link, buf); err != nil {
+		if err := q.writeFrame(link, buf, count); err != nil {
 			return buf, 0, err
 		}
 		return nil, 1, nil
@@ -890,7 +1036,7 @@ func (q *egressQueue) sendFrames(buf []*packet.Packet, total int) (unsent []*pac
 	for i, p := range buf {
 		sz := p.EncodedSize() + 4
 		if i > start && bytes+sz > maxEgressFrameBytes+4 {
-			if err := transport.SendBatch(link, buf[start:i]); err != nil {
+			if err := q.writeFrame(link, buf[start:i], count); err != nil {
 				return buf[start:], frames, err
 			}
 			frames++
@@ -898,46 +1044,61 @@ func (q *egressQueue) sendFrames(buf []*packet.Packet, total int) (unsent []*pac
 		}
 		bytes += sz
 	}
-	if err := transport.SendBatch(link, buf[start:]); err != nil {
+	if err := q.writeFrame(link, buf[start:], count); err != nil {
 		return buf[start:], frames, err
 	}
 	return nil, frames + 1, nil
 }
 
-// adapt moves the effective window toward the observed traffic level.
-func (q *egressQueue) adapt(cause int) {
-	if !q.pol.Adaptive {
-		return
+// writeFrame writes one frame, counting it in FramesSent first when count
+// is set (see flushLoop); a failed write takes the count back.
+func (q *egressQueue) writeFrame(link transport.Link, ps []*packet.Packet, count bool) error {
+	if count {
+		q.m.FramesSent.Add(1)
 	}
-	switch cause {
-	case flushSize:
-		if q.window < q.pol.MaxBatch {
-			q.window *= 2
-			if q.window > q.pol.MaxBatch {
-				q.window = q.pol.MaxBatch
-			}
-		}
-	case flushAge:
-		if q.window > 1 {
-			q.window /= 2
-		}
+	err := transport.SendBatch(link, ps)
+	if err != nil && count {
+		q.m.FramesSent.Add(-1)
 	}
+	return err
 }
 
-// deadline returns when the oldest queued packet must be age-flushed, or
-// the zero time when the queue is empty — or credit-stalled, in which case
-// only an inbound grant (whose refill hook re-arms the deadline) can make
-// progress and a timer would just spin.
+// deadline returns when the queue must next be age-flushed: MaxDelay after
+// the oldest queued packet, or after the link started owing credits,
+// whichever is sooner; the zero time when neither applies. Queued data of
+// a credit-stalled queue arms nothing — only an inbound grant (whose
+// refill hook re-arms the deadline) can move it, and a timer would just
+// spin — but owed credits still do: the peer may be stalled on them.
 func (q *egressQueue) deadline() time.Time {
 	if q == nil {
 		return time.Time{}
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.queuedLocked() == 0 || q.stalled || q.oldest.IsZero() {
-		return time.Time{}
+	return q.deadlineLocked()
+}
+
+func (q *egressQueue) deadlineLocked() time.Time {
+	var d time.Time
+	if q.queuedLocked() > 0 && !q.stalled && !q.oldest.IsZero() {
+		d = q.oldest.Add(q.pol.MaxDelay)
 	}
-	return q.oldest.Add(q.pol.MaxDelay)
+	if !q.owedAt.IsZero() {
+		if o := q.owedAt.Add(q.owedDelay()); d.IsZero() || o.Before(d) {
+			d = o
+		}
+	}
+	return d
+}
+
+// owedDelay bounds how long owed credits wait for a flush: MaxDelay, or
+// the default bound on un-batched flow-controlled queues, which have no
+// MaxDelay of their own (zero would send one grant per retirement).
+func (q *egressQueue) owedDelay() time.Duration {
+	if q.pol.MaxDelay > 0 {
+		return q.pol.MaxDelay
+	}
+	return DefaultBatchDelay
 }
 
 // pollAge flushes the queue if its age deadline has passed.
@@ -946,9 +1107,9 @@ func (q *egressQueue) pollAge(now time.Time) {
 		return
 	}
 	q.mu.Lock()
-	due := q.queuedLocked() > 0 && !q.stalled && !q.oldest.IsZero() && !now.Before(q.oldest.Add(q.pol.MaxDelay))
+	d := q.deadlineLocked()
 	q.mu.Unlock()
-	if due {
+	if !d.IsZero() && !now.Before(d) {
 		_ = q.flush(flushAge)
 	}
 }
@@ -976,10 +1137,14 @@ func (q *egressQueue) setLink(l transport.Link) {
 	if old := q.flow; old != nil {
 		old.SetRefillHook(nil)
 		old.SetAckHook(nil)
+		old.SetFlushHook(nil)
 	}
 	q.link = l
 	q.adoptFlow(l)
 	q.stalled = false
+	// Credits owed on the old link died with it: the replacement starts
+	// with nothing retired on either side.
+	q.owedAt = time.Time{}
 	if q.xonce {
 		// The new peer's cumulative count starts at zero and will count the
 		// replayed packets first: re-flush the un-popped ring suffix ahead
@@ -1022,10 +1187,10 @@ func (q *egressQueue) setLink(l transport.Link) {
 	if queued > 0 {
 		_ = q.flushLoop(flushResume)
 	}
+	_ = q.flushHeld(nil)
 	q.mu.Lock()
 	kick := q.kick != nil && q.queuedLocked() > 0
 	q.mu.Unlock()
-	q.flushMu.Unlock()
 	if kick {
 		q.kick()
 	}

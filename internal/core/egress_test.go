@@ -35,60 +35,6 @@ func drainLink(t *testing.T, l transport.Link, n int) []*packet.Packet {
 	return out
 }
 
-// TestAdaptiveWindowUnchangedOnFailedFlush is the regression test for the
-// flush/adapt ordering bug: a dead-link retry loop (retained buffer,
-// recoverable owner) used to mutate the adaptive window on every failed
-// flush — size-cause retries inflated it, age-cause retries collapsed it
-// to 1 — even though nothing was sent.
-func TestAdaptiveWindowUnchangedOnFailedFlush(t *testing.T) {
-	a, b := transport.NewPair(4)
-	pol := BatchPolicy{MaxBatch: 8, MaxDelay: time.Millisecond, Adaptive: true}.normalized()
-	var m Metrics
-	q := newEgressQueue(a, pol, &m, true, nil)
-	if q.window != 2 {
-		t.Fatalf("adaptive start window = %d, want 2", q.window)
-	}
-	transport.DropLink(b) // the parent "crashes"
-
-	// Fill the window: the size flush fails, retains, and must not grow
-	// the window.
-	for i := 0; i < 2; i++ {
-		_ = q.send(packet.MustNew(tagQuery, 1, 5, "%d", int64(i)))
-	}
-	if q.window != 2 {
-		t.Errorf("window after failed size flush = %d, want 2", q.window)
-	}
-	// Age-flush retries against the dead link must not shrink it either.
-	for i := 0; i < 5; i++ {
-		q.oldest = time.Now().Add(-time.Second) // force the deadline past
-		q.pollAge(time.Now())
-	}
-	if q.window != 2 {
-		t.Errorf("window after failed age retries = %d, want 2", q.window)
-	}
-	if len(q.buf) != 2 {
-		t.Fatalf("retained %d packets, want 2", len(q.buf))
-	}
-
-	// Reparent onto a live link: the drain re-flushes the retained data,
-	// and subsequent successful size flushes adapt again.
-	na, nb := transport.NewPair(4)
-	q.setLink(na)
-	got := drainLink(t, nb, 2)
-	for i, p := range got {
-		if v, _ := p.Int(0); v != int64(i) {
-			t.Errorf("packet %d carries %d; retained order lost", i, v)
-		}
-	}
-	for i := 0; i < 2; i++ {
-		_ = q.send(packet.MustNew(tagQuery, 1, 5, "%d", int64(i)))
-	}
-	drainLink(t, nb, 2)
-	if q.window != 4 {
-		t.Errorf("window after successful size flush = %d, want 4", q.window)
-	}
-}
-
 // TestControlKeepsFIFOAcrossFrameSplit pins the frame-splitting FIFO
 // invariant: a sendNow control packet queued behind more data than one
 // wire frame may carry keeps its position across the multi-frame split —

@@ -77,13 +77,22 @@ func newEgressSched() *egressSched { return &egressSched{} }
 
 // retireAndGrant records that the receiving pipeline finished n inbound
 // data packets from fl and, once the link's grant threshold is crossed,
-// returns the whole accumulation to the peer as one compact grant —
-// sent directly on the link, never through an egress queue, because
-// grants are order-free and must not wait behind (possibly stalled)
-// data. This is the single implementation of the credit-return protocol,
-// shared by shard workers, the front-end router, and BackEnd.Recv.
+// returns the whole accumulation to the peer as one compact grant. On a
+// link whose sending side an egress queue owns (every link of a
+// communication process or back-end) the grant goes through that queue:
+// a crossed threshold asks it to flush now, and its flush claims the
+// credits and sends the grant at the head of the frame — with whatever
+// data is queued, or alone. Below the threshold the owed credits arm the
+// queue's age bound. Links without a queue (the front-end's child links)
+// get the grant sent directly. This is the single implementation of the
+// credit-return protocol, shared by shard workers, the front-end router,
+// and BackEnd.Recv.
 func retireAndGrant(m *Metrics, fl *transport.FlowLink, n int) {
 	if fl == nil || n == 0 {
+		return
+	}
+	if h := fl.FlushHook(); h != nil {
+		h(fl.RetireDue(n))
 		return
 	}
 	if g := fl.Retire(n); g > 0 {
@@ -91,11 +100,11 @@ func retireAndGrant(m *Metrics, fl *transport.FlowLink, n int) {
 	}
 }
 
-// sendGrant builds and sends one credit grant directly on the link, holding
-// encoded-body custody across the send so the grant's wire bytes come from
-// (and immediately return to) the packet arena — grants are the hottest
-// control packets, one per quarter window of data, and would otherwise
-// allocate a fresh body each.
+// sendGrant builds and sends one credit grant directly on a link without
+// an egress queue, holding encoded-body custody across the send so the
+// grant's wire bytes come from (and immediately return to) the packet
+// arena — grants are the hottest control packets, one per quarter window
+// of data, and would otherwise allocate a fresh body each.
 func sendGrant(m *Metrics, fl *transport.FlowLink, g int) {
 	m.CreditGrants.Add(1)
 	p := fl.GrantPacket(g)
@@ -106,14 +115,19 @@ func sendGrant(m *Metrics, fl *transport.FlowLink, g int) {
 
 // flushGrant returns a below-threshold retirement accumulation to the
 // peer. Receivers call it at their idle points — shard mailbox drained,
-// back-end inbox empty — where Retire's quarter-window batching stops
-// being a liveness mechanism: nothing further will cross the threshold,
-// and a sender throttled by a tenant sub-budget smaller than
+// acknowledgements processed — where Retire's quarter-window batching
+// stops being a liveness mechanism: nothing further will cross the
+// threshold, and a sender throttled by a tenant sub-budget smaller than
 // threshold × fan-out is waiting for credits its packets already earned.
 // Under load the idle points are never reached and the 4:1 batching is
-// untouched.
+// untouched. Like retireAndGrant, it goes through the link's egress queue
+// when there is one.
 func flushGrant(m *Metrics, fl *transport.FlowLink) {
-	if fl == nil {
+	if fl == nil || fl.Owed() == 0 {
+		return
+	}
+	if h := fl.FlushHook(); h != nil {
+		h(true)
 		return
 	}
 	if g := fl.FlushRetired(); g > 0 {

@@ -427,6 +427,10 @@ func (fe *feState) shardCloseUp(*streamState) {}
 
 func (fe *feState) shardCloseDown(*streamState, *packet.Packet) {}
 
+// shardIdle has nothing to flush at the root: results go to Stream
+// receivers, multicasts straight to the child links.
+func (fe *feState) shardIdle(bool) {}
+
 // shardPoll releases a stream's time-triggered batches.
 func (fe *feState) shardPoll(ss *streamState, now time.Time) {
 	ss.pipeMu.Lock()

@@ -133,18 +133,11 @@ func (n *node) run() {
 	n.ctrlLane = make(chan *packet.Packet, ctrlLaneDepth)
 	n.readStop = make(chan struct{})
 	n.egKick = make(chan struct{}, 1)
-	n.shards = newShardPool(n.nw.shardCount(), n, &n.nw.metrics)
-	n.shards.noInline = n.nw.flowOn()
-	defer func() {
-		// Whatever path the router exits by — graceful finish, crash, an
-		// abandoned subtree — the readers and workers must not outlive it.
-		close(n.readStop)
-		n.shards.abort()
-	}()
 
 	// Egress queues wrap every link; with batching and flow control both
 	// disabled they forward directly, so the un-batched hot path is
-	// unchanged.
+	// unchanged. They exist before the shard workers start: an idle lane
+	// flushes them.
 	pol := n.nw.cfg.Batch
 	kick := kickFunc(n.egKick)
 	n.parentOut = newEgressQueue(n.ep.Parent, pol, &n.nw.metrics, n.nw.recoverable(), kick)
@@ -163,6 +156,14 @@ func (n *node) run() {
 		n.childOut[i] = newEgressQueue(c, pol, &n.nw.metrics, false, kick)
 		n.childOut[i].bindStops(n.killCh, n.nw.dying)
 	}
+	n.shards = newShardPool(n.nw.shardCount(), n, &n.nw.metrics)
+	n.shards.noInline = n.nw.flowOn()
+	defer func() {
+		// Whatever path the router exits by — graceful finish, crash, an
+		// abandoned subtree — the readers and workers must not outlive it.
+		close(n.readStop)
+		n.shards.abort()
+	}()
 
 	// Reader goroutines: one per link, feeding the event loop.
 	go readLink(n.ep.Parent, -1, inbox, n.ctrlLane, n.readStop)
@@ -921,6 +922,19 @@ func (n *node) flushBatches(ss *streamState, batches [][]*packet.Packet) {
 // and the router's overflow mode.
 func (n *node) flushBatchesCtx(ss *streamState, batches [][]*packet.Packet, block bool) {
 	n.flushBatchesAck(ss, batches, block, nil)
+}
+
+// shardIdle flushes the queues a drained lane feeds: the up lane's
+// pipelines feed parentOut, the down lane's fan-outs the child queues.
+// Queues with nothing queued and no credits owed are skipped cheaply.
+func (n *node) shardIdle(down bool) {
+	if !down {
+		_ = n.parentOut.flushIdle()
+		return
+	}
+	for _, q := range n.childOut {
+		_ = q.flushIdle()
+	}
 }
 
 // pollEgress releases egress age flushes that have come due. Synchronizer

@@ -204,7 +204,9 @@ func (r *replayRing) grow() {
 // became contiguous, and returns the credits immediately as one combined
 // grant per link (full flush rather than threshold batching: a cascade
 // hop's worth of latency already separates these grants from the work
-// they acknowledge, and the sender may be blocked on exactly them).
+// they acknowledge, and the sender may be blocked on exactly them) — by
+// asking the link's egress queue to flush, so the grant shares a frame
+// with any data queued toward that child.
 type acker struct {
 	m      *Metrics
 	mu     sync.Mutex
@@ -262,7 +264,7 @@ func (a *acker) run() {
 			if len(q) == 0 {
 				break
 			}
-			grants := map[*transport.FlowLink]int{}
+			links := map[*transport.FlowLink]struct{}{}
 			for _, r := range q {
 				if r == nil || r.src == nil {
 					continue
@@ -272,14 +274,12 @@ func (a *acker) run() {
 					n = r.tr.complete(r.start, r.n)
 				}
 				if n > 0 {
-					grants[r.src] += r.src.Retire(n)
+					r.src.RetireDue(n)
+					links[r.src] = struct{}{}
 				}
 			}
-			for fl, g := range grants {
-				g += fl.FlushRetired()
-				if g > 0 {
-					sendGrant(a.m, fl, g)
-				}
+			for fl := range links {
+				flushGrant(a.m, fl)
 			}
 		}
 	}

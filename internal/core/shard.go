@@ -120,6 +120,10 @@ type shardOps interface {
 	shardCloseUp(ss *streamState)
 	shardCloseDown(ss *streamState, p *packet.Packet)
 	shardPoll(ss *streamState, now time.Time)
+	// shardIdle runs when a lane's mailbox drains: flush the egress queues
+	// the lane feeds (down selects the down lane's), since nothing more is
+	// coming to share their next frame.
+	shardIdle(down bool)
 }
 
 // shardPool runs the pipeline workers for one routing process.
@@ -168,7 +172,8 @@ type shard struct {
 	// upPend / downPend track the links each lane retired against since its
 	// last idle flush; when a lane's mailbox drains, the below-threshold
 	// retirement accumulations on these links are granted back (see
-	// flushGrant). Each set is touched only by its own lane goroutine.
+	// flushGrant), riding any data queued toward the same peer. Each set is
+	// touched only by its own lane goroutine.
 	upPend, downPend map[*transport.FlowLink]struct{}
 }
 
@@ -455,9 +460,12 @@ func (sh *shard) runUp() {
 			}
 			continue
 		}
-		// Mailbox drained: nothing further will push the lane's retirement
-		// accumulations over the grant threshold, so return them to the
-		// peers now (budget-limited senders may be waiting).
+		// Mailbox drained: flush what the pipelines queued upstream rather
+		// than let it wait out the age bound, and — since nothing further
+		// will push the lane's retirement accumulations over the grant
+		// threshold — return them to the peers now (budget-limited senders
+		// may be waiting).
+		sh.pool.ops.shardIdle(false)
 		sh.flushPend(sh.upPend)
 		select {
 		case <-sh.pool.stop:
@@ -510,8 +518,9 @@ func (sh *shard) runDown() {
 			}
 			continue
 		}
-		// Mailbox drained: grant back the lane's below-threshold
-		// retirements before sleeping (see runUp).
+		// Mailbox drained: flush the fan-outs and grant back the lane's
+		// below-threshold retirements before sleeping (see runUp).
+		sh.pool.ops.shardIdle(true)
 		sh.flushPend(sh.downPend)
 		select {
 		case <-sh.down.notify:

@@ -121,7 +121,7 @@ func TestSingleStreamRunsInline(t *testing.T) {
 // identical per-round reduction sequences and identical equivalence-class
 // sets — on both link fabrics.
 func TestSoakShardingEquivalence(t *testing.T) {
-	batch := BatchPolicy{MaxBatch: 32, MaxDelay: 2 * time.Millisecond, Adaptive: true}
+	batch := BatchPolicy{MaxBatch: 32, MaxDelay: 2 * time.Millisecond}
 	fabrics := []struct {
 		name  string
 		kind  TransportKind
@@ -314,6 +314,7 @@ func (o *countingOps) shardDownRaw(*packet.Packet)                 {}
 func (o *countingOps) shardCloseUp(*streamState)                   {}
 func (o *countingOps) shardCloseDown(*streamState, *packet.Packet) {}
 func (o *countingOps) shardPoll(*streamState, time.Time)           {}
+func (o *countingOps) shardIdle(bool)                              {}
 
 // TestUpLaneDrainsBacklogAboveFastCap: a backlog queued while the up-lane
 // worker is busy — so every push but the first finds the notify token

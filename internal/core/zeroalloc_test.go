@@ -106,6 +106,36 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	})
 
+	t.Run("grant-piggyback", func(t *testing.T) {
+		// A flush carrying owed credits costs the forward path plus the
+		// grant packet — the one allocation a separately sent grant costs
+		// too. Riding the frame adds nothing per flush.
+		q, fl := newAllocQueue(64, BatchPolicy{MaxBatch: 8})
+		p := allocPacket(t)
+		batch := func(owe bool) func() {
+			return func() {
+				if owe {
+					retireAndGrant(q.m, fl, 1)
+				}
+				for i := 0; i < 8; i++ {
+					if err := q.send(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fl.Refill(8)
+			}
+		}
+		plain, carrying := batch(false), batch(true)
+		for i := 0; i < 128; i++ {
+			plain()
+			carrying()
+		}
+		base := testing.AllocsPerRun(300, plain)
+		if n := testing.AllocsPerRun(300, carrying); n > base+1 {
+			t.Errorf("a flush carrying a grant allocates %.2f, want <= %.2f (the flush's own %.2f + the grant packet)", n, base+1, base)
+		}
+	})
+
 	t.Run("credit-grant", func(t *testing.T) {
 		m := &Metrics{}
 		fl := transport.NewFlowLink(transport.NewWriterLink(io.Discard), 64)

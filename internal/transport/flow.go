@@ -25,7 +25,9 @@ import (
 //     to return to the peer as one compact TagCredit packet — batching the
 //     reverse traffic without risking deadlock (a stalled sender has W
 //     un-granted packets at the receiver, and W ≥ the grant threshold, so
-//     the threshold is always eventually crossed).
+//     the threshold is always eventually crossed). When an egress queue
+//     owns the link's sending side (SetFlushHook), the grant instead rides
+//     the head of that queue's next frame.
 //
 //   - Inbound grants are absorbed inside Recv/RecvBatch and refill the
 //     sender pool directly, waking any Acquire-blocked sender; they are
@@ -53,6 +55,10 @@ type FlowLink struct {
 	// ring's retirement signal (exactly-once delivery). It runs on the
 	// link's reader goroutine and must not touch the wire.
 	ackHook atomic.Pointer[func(n int, cum uint64)]
+	// flushHook, when set, hands owed credits to the egress queue that owns
+	// this link's sending side: that queue's flushes claim them, and the
+	// grant rides its next frame instead of going out alone (SetFlushHook).
+	flushHook atomic.Pointer[func(now bool)]
 	// retiredTotal counts every receiver-side retirement on this link for
 	// the link's lifetime; outgoing grants carry it as the cumulative ack.
 	retiredTotal atomic.Uint64
@@ -271,6 +277,29 @@ func (f *FlowLink) SetAckHook(fn func(n int, cum uint64)) {
 	f.ackHook.Store(&fn)
 }
 
+// SetFlushHook hands this link's owed credits to the egress queue that
+// owns its sending side. Retirers then call the hook instead of sending a
+// grant themselves: fn(true) asks the queue to flush now — its flush
+// claims the owed credits (FlushRetired) and puts the grant at the head of
+// the frame it writes — and fn(false) reports credits owed below the
+// grant threshold, which the queue's age bound then covers. nil restores
+// direct grants (the queue let go of the link).
+func (f *FlowLink) SetFlushHook(fn func(now bool)) {
+	if fn == nil {
+		f.flushHook.Store(nil)
+		return
+	}
+	f.flushHook.Store(&fn)
+}
+
+// FlushHook returns the hook set by SetFlushHook, or nil.
+func (f *FlowLink) FlushHook() func(now bool) {
+	if h := f.flushHook.Load(); h != nil {
+		return *h
+	}
+	return nil
+}
+
 // GrantPacket builds the credit-grant packet returning n credits to the
 // peer, stamped with this side's cumulative retired total as the ack.
 // The snapshot is taken after the retirements it covers were recorded
@@ -285,8 +314,7 @@ func (f *FlowLink) GrantPacket(n int) *packet.Packet {
 // whole accumulation is claimed and returned for the caller to grant back
 // to the peer; otherwise 0.
 func (f *FlowLink) Retire(n int) int {
-	f.retiredTotal.Add(uint64(n))
-	f.retired.Add(int64(n))
+	f.RetireDue(n)
 	for {
 		cur := f.retired.Load()
 		if cur < f.grantThreshold() {
@@ -297,6 +325,18 @@ func (f *FlowLink) Retire(n int) int {
 		}
 	}
 }
+
+// RetireDue records n retirements like Retire but leaves the accumulation
+// for the link's next claim (FlushRetired), reporting whether it has
+// crossed the grant threshold — the retirement half for links whose
+// credits ride an egress queue's frames.
+func (f *FlowLink) RetireDue(n int) bool {
+	f.retiredTotal.Add(uint64(n))
+	return f.retired.Add(int64(n)) >= f.grantThreshold()
+}
+
+// Owed reports the retirements accumulated since the last claim.
+func (f *FlowLink) Owed() int { return int(f.retired.Load()) }
 
 // FlushRetired claims the accumulated retirements regardless of the grant
 // threshold. Receivers call it when their pipeline goes idle: no further
@@ -317,14 +357,23 @@ func (f *FlowLink) FlushRetired() int {
 	}
 }
 
-// absorb refills the pool from any grants in ps and filters them out. The
-// filtered slice is freshly allocated, never a compaction of ps: on the
+// absorb refills the pool from any grants in ps and filters them out. An
+// egress queue puts the grant it carries at the head of its frame, so a
+// grant prefix is dropped by reslicing. Grants further in are filtered
+// into a freshly allocated slice, never a compaction of ps: on the
 // in-process fabric ps shares its backing array with the slice the sender
 // passed to SendBatch, which the sender may still read after the send (the
-// exactly-once path appends the sent prefix to its replay ring). When ps
-// carries no grants it is returned as-is, so the common case stays
-// zero-copy.
+// exactly-once path appends the sent prefix to its replay ring). Both
+// common cases — no grant, or one leading grant — stay zero-copy.
 func (f *FlowLink) absorb(ps []*packet.Packet) []*packet.Packet {
+	for len(ps) > 0 {
+		n, ok := packet.CreditGrantValue(ps[0])
+		if !ok {
+			break
+		}
+		f.refillAck(int(n), packet.CreditGrantAck(ps[0]))
+		ps = ps[1:]
+	}
 	grants := 0
 	for _, p := range ps {
 		if _, ok := packet.CreditGrantValue(p); ok {

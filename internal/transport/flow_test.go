@@ -164,6 +164,100 @@ func TestFlowLinkAbsorbsGrants(t *testing.T) {
 	}
 }
 
+// TestFlowLinkLeadingGrantZeroCopy: a grant at the head of a frame — where
+// an egress queue puts the credits it carries — is absorbed by reslicing,
+// so the data reaches the caller without a copy; a grant further in is
+// filtered into a fresh slice and the sender's slice is left untouched.
+func TestFlowLinkLeadingGrantZeroCopy(t *testing.T) {
+	a, b := NewPair(16)
+	defer a.Close()
+	defer b.Close()
+	f := NewFlowLink(a, 4)
+	for i := 0; i < 4; i++ {
+		f.TryAcquire()
+	}
+	d := func(v int64) *packet.Packet { return packet.MustNew(packet.TagFirstApplication, 9, 2, "%d", v) }
+
+	lead := []*packet.Packet{packet.NewCreditGrant(1, 0), d(1), d(2)}
+	if err := SendBatch(b, lead); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := f.RecvBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ps) != 2 || &ps[0] != &lead[1] {
+		t.Fatalf("leading grant: got %d packets (aliasing the frame: %v), want the 2 data packets in place", len(ps), len(ps) > 0 && &ps[0] == &lead[1])
+	}
+
+	mid := []*packet.Packet{d(3), packet.NewCreditGrant(2, 0), d(4)}
+	if err := SendBatch(b, mid); err != nil {
+		t.Fatal(err)
+	}
+	if ps, err = f.RecvBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ps) != 2 || ps[0] != mid[0] || ps[1] != mid[2] {
+		t.Fatalf("inner grant: got %d packets, want data 3 and 4", len(ps))
+	}
+	if _, ok := packet.CreditGrantValue(mid[1]); !ok {
+		t.Fatal("filtering an inner grant rewrote the sender's slice")
+	}
+	n := 0
+	for f.TryAcquire() {
+		n++
+	}
+	if n != 3 {
+		t.Fatalf("absorbed grants refilled %d credits, want 3", n)
+	}
+}
+
+// TestFlowLinkRetireDueAndFlushHook: RetireDue records retirements without
+// claiming them and reports the threshold; the accumulation stays owed
+// until FlushRetired claims it; the flush hook is set, read and cleared.
+func TestFlowLinkRetireDueAndFlushHook(t *testing.T) {
+	a, b := NewPair(4)
+	defer a.Close()
+	defer b.Close()
+	f := NewFlowLink(a, 16) // threshold 4
+	if f.FlushHook() != nil {
+		t.Fatal("fresh link has a flush hook")
+	}
+	var asked []bool
+	f.SetFlushHook(func(now bool) { asked = append(asked, now) })
+	if h := f.FlushHook(); h == nil {
+		t.Fatal("hook not set")
+	} else {
+		h(true)
+	}
+	if len(asked) != 1 || !asked[0] {
+		t.Fatalf("hook calls %v, want [true]", asked)
+	}
+	f.SetFlushHook(nil)
+	if f.FlushHook() != nil {
+		t.Fatal("hook not cleared")
+	}
+
+	if f.RetireDue(3) {
+		t.Fatal("3 retirements reported due below the threshold of 4")
+	}
+	if !f.RetireDue(2) {
+		t.Fatal("5 retirements not reported due")
+	}
+	if f.Owed() != 5 {
+		t.Fatalf("owed %d, want 5 (RetireDue must not claim)", f.Owed())
+	}
+	if g := f.FlushRetired(); g != 5 {
+		t.Fatalf("claimed %d, want 5", g)
+	}
+	if f.Owed() != 0 || f.FlushRetired() != 0 {
+		t.Fatal("credits still owed after the claim")
+	}
+	if ack := packet.CreditGrantAck(f.GrantPacket(5)); ack != 5 {
+		t.Fatalf("grant acknowledges %d retirements, want 5", ack)
+	}
+}
+
 // TestFlowLinkRefillHook: the hook fires after refills — the egress
 // stall/resume wakeup contract.
 func TestFlowLinkRefillHook(t *testing.T) {
